@@ -23,15 +23,13 @@ def main(argv=None) -> int:
     parser.add_argument("--outdir", default="results", help="output directory")
     parser.add_argument("--steps", type=int, default=30,
                         help="sweep points per panel")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="thread cap (default: PROSUMER_MARKET_THREADS or all cores)")
     args = parser.parse_args(argv)
 
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for panel in PANELS:
         spec = case_study_spec(panel, steps=args.steps)
-        rows = run_sweep(spec, max_workers=args.workers)
+        rows = run_sweep(spec)
         emit_csv(rows, outdir / f"{panel}.csv")
         emit_gnuplot(rows, outdir / f"{panel}.dat")
         violated = [r for r in rows if r.eq21_violations > 0]

@@ -15,7 +15,7 @@ from .market import (Allocation, BidProfile, ExponentialUtility, MarketConfig,
                      quantity_from_bid, utility_deriv, utility_value)
 from .oracle import (BestResponseResult, best_response, brute_force_program,
                      strategic_payoff)
-from .solver import (MODE_MODIFIED, MODE_TRUE, DualBracket, SolveResult,
+from .solver import (MODE_MODIFIED, MODE_TRUE, SolveResult,
                      marginal_inverse_modified, marginal_inverse_true,
                      recover_bids, solve_dual, welfare)
 
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Allocation", "BestResponseResult", "BidProfile", "BracketFailure",
     "CSV_HEADER", "ConditionReport", "ConfigError", "DomainError",
-    "DualBracket", "EquilibriumReport", "ExponentialUtility", "InvalidBids",
+    "EquilibriumReport", "ExponentialUtility", "InvalidBids",
     "MODE_MODIFIED", "MODE_TRUE", "MarketConfig", "PANELS",
     "ProsumerMarketError", "SaturationWarning", "SolveResult", "SweepRow",
     "SweepSpec", "TooLarge", "UnboundedPayoff", "UtilitySpec",

@@ -22,6 +22,10 @@ used consistently here, in reports and in the sweep CSVs:
   eq36    the same concavity statement evaluated from the second-derivative
           side: modified_utility_deriv2(q_i) <= 0.
 
+For the exponential family S'/S'' = -5*d_min/beta, so eq18, eq21 and eq36
+are all the inequality q_i >= 5*d_min/beta_i - (N-1)*d_min, and all three
+compare q against that one threshold vector; they cannot disagree at it.
+
 All checks are pure and evaluated pointwise at the candidate, not over the
 whole strategy space.
 """
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .market import MarketConfig, modified_utility_deriv2
+from .market import MarketConfig, _safe_exp
 
 
 @dataclass(frozen=True)
@@ -88,13 +92,11 @@ def eq15_bounds(thetas, config: MarketConfig,
     t = np.asarray(thetas, dtype=float)
     q = np.asarray(quantities, dtype=float)
     rivals = _rival_sums(t)
-    specs = config.utilities()
-    deriv = np.array([s.deriv(qi) for s, qi in zip(specs, q)])
-    deriv2 = np.array([s.deriv2(qi) for s, qi in zip(specs, q)])
-    if np.any(deriv == 0):
+    r = config.rates
+    if np.any(r * _safe_exp(-r * q) == 0):
         raise DomainError("marginal utility vanished; ratio S''/S' undefined")
-    ratio = deriv2 / deriv
-    lower = -rivals * (config.n_prosumers * config.d_min / 2.0 * ratio + 1.0)
+    # S''/S' = -r for the exponential family
+    lower = -rivals * (config.n_prosumers * config.d_min / 2.0 * -r + 1.0)
     upper = -rivals - config.eps_price
     return lower, upper
 
@@ -107,15 +109,16 @@ def check_eq15(thetas, config: MarketConfig, quantities) -> np.ndarray:
 
 
 def check_eq18(quantities, config: MarketConfig) -> np.ndarray:
-    """Uniqueness threshold via the derivative ratio at each allocation point."""
+    """Uniqueness threshold q >= -(N-1)*d_min - S'(q)/S''(q) at each point.
+
+    For this family the right side is the eq21 threshold vector; S'' is
+    evaluated only to reject points where it has vanished.
+    """
     q = np.asarray(quantities, dtype=float)
-    specs = config.utilities()
-    deriv = np.array([s.deriv(qi) for s, qi in zip(specs, q)])
-    deriv2 = np.array([s.deriv2(qi) for s, qi in zip(specs, q)])
-    if np.any(deriv2 == 0):
+    r = config.rates
+    if np.any(-r ** 2 * _safe_exp(-r * q) == 0):
         raise DomainError("second derivative vanished; threshold undefined")
-    threshold = -(config.n_prosumers - 1) * config.d_min - deriv / deriv2
-    return q >= threshold
+    return q >= config.concavity_thresholds
 
 
 def check_eq21(quantities, config: MarketConfig) -> np.ndarray:
@@ -124,20 +127,16 @@ def check_eq21(quantities, config: MarketConfig) -> np.ndarray:
     q_i >= 5*d_min/beta_i - d_min*(N-1); coincides pointwise with check_eq18
     for this family.
     """
-    q = np.asarray(quantities, dtype=float)
-    betas = np.asarray(config.betas)
-    threshold = 5.0 * config.d_min / betas - config.d_min * (config.n_prosumers - 1)
-    return q >= threshold
+    return np.asarray(quantities, dtype=float) >= config.concavity_thresholds
 
 
 def check_eq36(quantities, config: MarketConfig) -> np.ndarray:
-    """Concavity of the shaded curve at each point: second derivative <= 0."""
-    q = np.asarray(quantities, dtype=float)
-    n = config.n_prosumers
-    return np.array([
-        modified_utility_deriv2(s, n, qi) <= 0
-        for s, qi in zip(config.utilities(), q)
-    ])
+    """Concavity of the shaded curve at each point: second derivative <= 0.
+
+    The shaded second derivative is (r*exp(-r*q)/L) * (1 - r*(q + L)), which
+    is <= 0 exactly at and above the eq21 threshold.
+    """
+    return np.asarray(quantities, dtype=float) >= config.concavity_thresholds
 
 
 def evaluate_conditions(config: MarketConfig, thetas,

@@ -21,8 +21,6 @@ Four canonical 11-prosumer panels ship with the package:
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,9 +33,6 @@ from .solver import MODE_MODIFIED, MODE_TRUE, SolveResult, solve_dual
 VARIABLE_CAPACITY = "s_max"
 VARIABLE_DEMAND = "d_min"
 SWEEP_VARIABLES = (VARIABLE_CAPACITY, VARIABLE_DEMAND)
-
-#: environment variable capping sweep concurrency (default: machine parallelism)
-THREADS_ENV_VAR = "PROSUMER_MARKET_THREADS"
 
 CSV_HEADER = ("param_value,total_param,welfare_competitive,welfare_nash,"
               "welfare_loss,eq21_violations,non_concave_flag,"
@@ -156,34 +151,13 @@ def _sweep_point(spec: SweepSpec, value: float) -> SweepRow:
     )
 
 
-def _max_workers() -> int:
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        try:
-            workers = int(env)
-        except ValueError as exc:
-            raise ConfigError(
-                f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from exc
-        if workers < 1:
-            raise ConfigError(f"{THREADS_ENV_VAR} must be >= 1, got {workers}")
-        return workers
-    return os.cpu_count() or 1
-
-
-def run_sweep(spec: SweepSpec, max_workers: int | None = None) -> list[SweepRow]:
+def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate every sweep point; rows follow the parameter order start->stop.
 
-    Points run concurrently (capped by max_workers or the THREADS_ENV_VAR
-    environment variable); the solver is pure, so results and row order are
-    deterministic regardless of scheduling. A BracketFailure marks its row
-    with an error message instead of aborting the sweep.
+    A BracketFailure marks its row with an error message instead of
+    aborting the sweep.
     """
-    workers = max_workers if max_workers is not None else _max_workers()
-    values = spec.values()
-    if workers == 1:
-        return [_sweep_point(spec, float(v)) for v in values]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda v: _sweep_point(spec, float(v)), values))
+    return [_sweep_point(spec, float(v)) for v in spec.values()]
 
 
 def _fmt(x: float) -> str:
@@ -260,6 +234,19 @@ def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
+def _number(value, key: str) -> float:
+    # bool is an int subclass; JSON true/false are not numbers here
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, key: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def load_config_file(path) -> tuple[MarketConfig, SweepSpec | None]:
     """Read a market (and optional sweep) from a JSON config file.
 
@@ -268,7 +255,9 @@ def load_config_file(path) -> tuple[MarketConfig, SweepSpec | None]:
              "tolerances": {"eps_price"?, "tol_root"?, "tol_kkt"?},
              "sweep": {"variable": "s_max"|"d_min", "start", "stop",
                        "steps"}}
-    tolerances and sweep are optional; unknown keys are rejected.
+    tolerances and sweep are optional; unknown keys are rejected, and so are
+    strings, booleans and non-integral values where a number or an integer
+    belongs.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -289,16 +278,16 @@ def load_config_file(path) -> tuple[MarketConfig, SweepSpec | None]:
         raise ConfigError(f"{path}: betas must be an array")
     try:
         config = MarketConfig(
-            n_prosumers=int(raw["n_prosumers"]),
-            d_min=float(raw["d_min"]),
-            s_max=float(raw["s_max"]),
-            betas=tuple(float(b) for b in raw["betas"]),
-            eps_price=(float(tolerances["eps_price"])
+            n_prosumers=_integer(raw["n_prosumers"], "n_prosumers"),
+            d_min=_number(raw["d_min"], "d_min"),
+            s_max=_number(raw["s_max"], "s_max"),
+            betas=tuple(_number(b, "betas") for b in raw["betas"]),
+            eps_price=(_number(tolerances["eps_price"], "eps_price")
                        if "eps_price" in tolerances else None),
-            tol_root=float(tolerances.get("tol_root", 1e-9)),
-            tol_kkt=float(tolerances.get("tol_kkt", 1e-8)),
+            tol_root=_number(tolerances.get("tol_root", 1e-9), "tol_root"),
+            tol_kkt=_number(tolerances.get("tol_kkt", 1e-8), "tol_kkt"),
         )
-    except (TypeError, ValueError, DomainError) as exc:
+    except (ConfigError, DomainError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
     sweep = None
@@ -314,11 +303,11 @@ def load_config_file(path) -> tuple[MarketConfig, SweepSpec | None]:
         try:
             sweep = SweepSpec(
                 variable=str(block["variable"]),
-                start=float(block["start"]),
-                stop=float(block["stop"]),
-                steps=int(block["steps"]),
+                start=_number(block["start"], "start"),
+                stop=_number(block["stop"], "stop"),
+                steps=_integer(block["steps"], "steps"),
                 base_config=config,
             )
-        except (TypeError, ValueError, DomainError) as exc:
+        except (ConfigError, DomainError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
     return config, sweep

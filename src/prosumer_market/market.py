@@ -37,6 +37,7 @@ import abc
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import integrate
@@ -60,13 +61,14 @@ def _safe_exp(x):
     arr = np.asarray(x, dtype=float)
     clipped = np.minimum(arr, _EXP_CLAMP)
     if np.any(clipped != arr):
-        warnings.warn(
-            "utility exponent clamped to +700; value saturated",
-            SaturationWarning,
-            stacklevel=3,
-        )
+        _warn_saturated(stacklevel=3)
     out = np.exp(clipped)
     return out if arr.ndim else float(out)
+
+
+def _warn_saturated(stacklevel: int) -> None:
+    warnings.warn("utility exponent clamped to +700; value saturated",
+                  SaturationWarning, stacklevel=stacklevel + 1)
 
 
 class UtilitySpec(abc.ABC):
@@ -238,10 +240,34 @@ class MarketConfig:
     def utilities(self) -> tuple[ExponentialUtility, ...]:
         return tuple(ExponentialUtility(b, self.d_min) for b in self.betas)
 
+    @cached_property
+    def rates(self) -> np.ndarray:
+        """Per-prosumer exponential rates r_i = beta_i / (5*d_min)."""
+        return _frozen(np.asarray(self.betas) / (5.0 * self.d_min))
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """Per-prosumer constants exp(-beta_i/5), so that S_i(d_min) = 0."""
+        return _frozen(np.exp(-np.asarray(self.betas) / 5.0))
+
+    @cached_property
+    def concavity_thresholds(self) -> np.ndarray:
+        """Per-prosumer eq21 threshold 5*d_min/beta_i - (N-1)*d_min.
+
+        The shaded curve of prosumer i is concave exactly at and above it.
+        """
+        return _frozen(5.0 * self.d_min / np.asarray(self.betas)
+                       - (self.n_prosumers - 1) * self.d_min)
+
     @property
     def q_upper(self) -> float:
         # balance plus everyone else at capacity bounds any single net demand
         return (self.n_prosumers - 1) * self.s_max
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def quantity_from_bid(theta: float, price: float, d_min: float) -> float:

@@ -11,12 +11,19 @@ balanced, capacity-bounded set {q : sum q_i = 0, q_i >= -s_max}:
 The balance constraint is priced by a single multiplier eta > 0. For each
 eta every prosumer independently maximizes its Lagrangian S(q) - eta*q over
 [-s_max, q_upper]; the solver bisects eta until aggregate excess demand
-sum_i q_i(eta) crosses zero. On the concave branch the per-prosumer
-maximizer is the marginal inversion marginal(q) = eta (capacity-clipped);
-where the modified curve loses concavity the per-prosumer step enumerates
-stationary points and endpoints, takes the Lagrangian-best candidate, and
-flags the prosumer. Excess demand can then jump, in which case the solver
-returns the eta minimizing |excess| and records the residual.
+sum_i q_i(eta) crosses zero. The per-prosumer maximizers are closed-form and
+computed for all prosumers at once. With r = beta/(5*d_min) the true
+marginal r*exp(-r*q) = eta inverts by a logarithm; the shaded marginal
+(1 + q/L)*r*exp(-r*q) = eta, L = (N-1)*d_min, becomes u*exp(-u) = z with
+u = r*(q + L) and z = eta*L*exp(-r*L), whose falling root u >= 1 is
+-W_{-1}(-z) and whose rising root u <= 1 is -W_0(-z) (Lambert W; Corless et
+al., Adv. Comput. Math. 1996). The branch point u = 1 is the eq21
+threshold. Where the shaded curve is not concave over the whole interval,
+the Lagrangian is compared at the capacity bound and at both stationary
+points (or q_upper), the best candidate wins and the prosumer is flagged
+when the shaded curve is locally convex there. Excess demand can then jump,
+in which case the solver returns the eta minimizing |excess| and records
+the residual.
 
 Recovered bids theta_i = eta*(q_i - d_min) reproduce eta as the clearing
 price of the recovered profile.
@@ -26,20 +33,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy.special import lambertw
 
 from .errors import BracketFailure, DomainError
-from .market import (
-    Allocation,
-    MarketConfig,
-    UtilitySpec,
-    modified_utility,
-    modified_utility_deriv,
-    modified_utility_deriv2,
-    utility_value,
-)
+from .market import (_EXP_CLAMP, Allocation, MarketConfig, _safe_exp,
+                     _warn_saturated)
 
 MODE_TRUE = "true"
 MODE_MODIFIED = "modified"
@@ -49,24 +49,12 @@ MODES = (MODE_TRUE, MODE_MODIFIED)
 _BRACKET_WIDEN = 10.0
 # relative eta tolerance for the dual bisection
 _ETA_RTOL = 1e-12
-
-
-@dataclass(frozen=True)
-class DualBracket:
-    """An eta interval with excess demand of opposite signs at its ends."""
-
-    eta_lo: float
-    eta_hi: float
-    excess_lo: float
-    excess_hi: float
-
-    def __post_init__(self):
-        if not 0 < self.eta_lo < self.eta_hi:
-            raise DomainError(
-                f"need 0 < eta_lo < eta_hi, got [{self.eta_lo}, {self.eta_hi}]")
-        if not (self.excess_lo >= 0 >= self.excess_hi):
-            raise DomainError(
-                f"excess must bracket zero, got [{self.excess_lo}, {self.excess_hi}]")
+# below this distance p from the branch point the roots come from its series
+# (truncation error below 1e-22); scipy's W_{-1} is inexact there
+_SERIES_P = 1e-3
+# below this log z, z is subnormal or zero and the falling root is solved in
+# log space
+_LOG_Z_FLOOR = -700.0
 
 
 @dataclass(frozen=True)
@@ -98,146 +86,131 @@ class SolveResult:
         return self.allocation.quantities
 
 
-def _newton_bisect(f: Callable[[float], float],
-                   fprime: Callable[[float], float],
-                   lo: float, hi: float,
-                   f_lo: float, f_hi: float,
-                   xtol: float = 1e-14, ftol: float = 1e-15,
-                   max_iter: int = 200) -> float:
-    """Root of f on [lo, hi] by Newton steps safeguarded with bisection.
+# Array kernels over prosumers. Exponents are clamped at +700 like the
+# utility kernel's, without warning: solve_dual warns once per solve.
 
-    Requires f(lo) and f(hi) of opposite sign; keeps the bracket valid so a
-    wild Newton step can never escape it.
+def _exp_neg(r, q):
+    return np.exp(np.minimum(-r * q, _EXP_CLAMP))
+
+
+def _marginal(config: MarketConfig, q):
+    """True marginal S'(q) = r*exp(-r*q), per prosumer."""
+    r = config.rates
+    return r * _exp_neg(r, q)
+
+
+def _shading_length(config: MarketConfig) -> float:
+    return (config.n_prosumers - 1) * config.d_min
+
+
+def _shaded_marginal(config: MarketConfig, q, mask=slice(None)):
+    """S_mod'(q) = (1 + q/L) * S'(q), per prosumer (or the masked subset)."""
+    r = config.rates[mask]
+    return (1.0 + q / _shading_length(config)) * (r * _exp_neg(r, q))
+
+
+def _shaded_curvature(config: MarketConfig, q, mask=slice(None)):
+    """S_mod''(q) = (1 + q/L) * S''(q) + S'(q)/L; positive off the concave region."""
+    r, L = config.rates[mask], _shading_length(config)
+    e = _exp_neg(r, q)
+    return (1.0 + q / L) * (-r ** 2 * e) + (r * e) / L
+
+
+def _shaded_utility(config: MarketConfig, q, mask=slice(None)):
+    """S_mod(q) = (1 + q/L) * S(q) - (A(q) - A(d_min))/L, A = antiderivative of S."""
+    r, offset = config.rates[mask], config.offsets[mask]
+    L = _shading_length(config)
+    e = _exp_neg(r, q)
+    integral = (offset * q + e / r) - (offset * config.d_min
+                                       + _exp_neg(r, config.d_min) / r)
+    return (1.0 + q / L) * (offset - e) - integral / L
+
+
+def _shaded_root(r, L: float, eta: float, branch: int) -> np.ndarray:
+    """q where the shaded marginal equals eta, on one branch, per prosumer.
+
+    With u = r*(q + L) the equation is u*exp(-u) = z, z = eta*L*exp(-r*L).
+    branch -1 gives the falling root u = -W_{-1}(-z) >= 1, branch 0 the
+    rising root u = -W_0(-z) <= 1. Above the peak (z > 1/e) there is no
+    root and both branches return the peak u = 1, q = 1/r - L. Near the
+    peak, where scipy's W_{-1} loses accuracy, u comes from the branch-point
+    series of u - ln(u) = 1 + p**2/2. Where z underflows, the falling root
+    solves u - ln(u) = -ln(z) by Newton steps from the asymptote
+    u = t + ln(t); the rising root is then u = z, which W_0 gives as is.
     """
-    if f_lo == 0:
-        return lo
-    if f_hi == 0:
-        return hi
-    if (f_lo > 0) == (f_hi > 0):
-        raise DomainError(
-            f"root not bracketed: f({lo})={f_lo}, f({hi})={f_hi}")
-    x = 0.5 * (lo + hi)
-    for _ in range(max_iter):
-        fx = f(x)
-        if abs(fx) <= ftol:
-            return x
-        if (fx > 0) == (f_lo > 0):
-            lo, f_lo = x, fx
-        else:
-            hi, f_hi = x, fx
-        dfx = fprime(x)
-        step_ok = False
-        if dfx != 0 and math.isfinite(dfx):
-            x_new = x - fx / dfx
-            step_ok = lo < x_new < hi
-        x = x_new if step_ok else 0.5 * (lo + hi)
-        if hi - lo <= xtol * max(1.0, abs(x)):
-            return x
-    return x
+    log_z = np.minimum(math.log(eta) + math.log(L) - r * L, -1.0)
+    p = np.sqrt(-2.0 * (1.0 + log_z))
+    if branch == 0:
+        p = -p
+    series = 1.0 + p * (1.0 + p * (1.0 / 3.0 + p * (1.0 / 36.0 + p * (
+        -1.0 / 270.0 + p / 4320.0))))
+    with np.errstate(invalid="ignore"):  # W at the clamped branch point
+        u = np.where(np.abs(p) < _SERIES_P, series,
+                     -lambertw(-np.exp(log_z), branch).real)
+    tiny = log_z < _LOG_Z_FLOOR
+    if branch == -1 and np.any(tiny):
+        t = -log_z[tiny]
+        v = t + np.log(t)
+        for _ in range(4):
+            v = v * (np.log(v) + t - 1.0) / (v - 1.0)
+        u[tiny] = v
+    return u / r - L
 
 
-def marginal_inverse_true(spec: UtilitySpec, eta: float, s_max: float) -> float:
-    """q solving deriv(q) = eta, clipped below at the capacity bound -s_max."""
+def marginal_inverse_true(config: MarketConfig, eta: float) -> np.ndarray:
+    """Per-prosumer q solving S'(q) = eta, clipped to [-s_max, q_upper]."""
     if eta <= 0:
         raise DomainError(f"eta must be positive, got {eta}")
-    if s_max <= 0:
-        raise DomainError(f"s_max must be positive, got {s_max}")
-    try:
-        root = spec.deriv_inverse(eta)
-    except NotImplementedError:
-        root = _numeric_deriv_inverse(spec, eta, -s_max)
-    return max(root, -s_max)
+    r = config.rates
+    return np.clip(-np.log(eta / r) / r, -config.s_max, config.q_upper)
 
 
-def _numeric_deriv_inverse(spec: UtilitySpec, eta: float, lo: float) -> float:
-    # deriv is positive and strictly decreasing, so expand a bracket upward
-    if spec.deriv(lo) <= eta:
-        return lo
-    hi = lo + 1.0
-    while spec.deriv(hi) > eta:
-        hi = 2 * (hi - lo) + lo
-        if hi - lo > 1e12:
-            raise DomainError("marginal inversion bracket expansion failed")
-    return _newton_bisect(
-        lambda q: spec.deriv(q) - eta, spec.deriv2,
-        lo, hi, spec.deriv(lo) - eta, spec.deriv(hi) - eta)
+def marginal_inverse_modified(config: MarketConfig,
+                              eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-prosumer maximizer of S_mod(q) - eta*q over [-s_max, q_upper].
 
-
-class ModifiedInverse(NamedTuple):
-    q: float
-    non_concave: bool
-
-
-def marginal_inverse_modified(spec: UtilitySpec, n: int, eta: float,
-                              s_max: float, q_upper: float) -> ModifiedInverse:
-    """Maximizer of the shaded Lagrangian S_mod(q) - eta*q over [-s_max, q_upper].
-
-    On the concave branch (capacity bound at or above the concavity onset)
-    this is the marginal inversion of the shaded curve, capacity-clipped.
-    Otherwise the shaded marginal rises then falls, so the Lagrangian is
-    scanned over its stationary points and both endpoints; the best
-    candidate wins (larger q on ties) and the point is flagged when the
-    shaded curve is locally convex there.
+    Returns the quantities and a mask of the prosumers whose maximizer sits
+    where the shaded curve is locally convex. A prosumer whose shaded curve
+    is concave on the whole interval (eq21 threshold at or below -s_max)
+    takes the falling root, clipped to the bounds. Otherwise the shaded
+    marginal rises then falls, and the candidates are -s_max, the falling
+    root (or q_upper) and the rising root, each where eta reaches it; the
+    best Lagrangian value wins, the larger q on ties.
     """
     if eta <= 0:
         raise DomainError(f"eta must be positive, got {eta}")
-    lo = -s_max
-    if lo >= q_upper:
-        raise DomainError("capacity bound exceeds the upper quantity bound")
+    lo, hi = -config.s_max, config.q_upper
+    r, L = config.rates, _shading_length(config)
+    q = np.clip(_shaded_root(r, L, eta, -1), lo, hi)
+    flags = np.zeros(config.n_prosumers, dtype=bool)
+    nc = config.concavity_thresholds > lo
+    if not nc.any():
+        return q, flags
 
-    def md(q):
-        return modified_utility_deriv(spec, n, q)
-
-    q_c = spec.modified_concavity_threshold(n)
-
-    if q_c <= lo:
-        # shaded marginal strictly decreasing on the whole interval
-        if eta >= md(lo):
-            return ModifiedInverse(lo, False)
-        if eta <= md(q_upper):
-            return ModifiedInverse(q_upper, False)
-        root = _newton_bisect(
-            lambda q: md(q) - eta,
-            lambda q: modified_utility_deriv2(spec, n, q),
-            lo, q_upper, md(lo) - eta, md(q_upper) - eta)
-        return ModifiedInverse(root, False)
-
-    peak = min(q_c, q_upper)
-    candidates = [lo]
-    # falling branch [peak, q_upper]: the interior local max, if eta reaches it
-    if eta <= md(peak):
-        if eta <= md(q_upper):
-            candidates.append(q_upper)
-        else:
-            candidates.append(_newton_bisect(
-                lambda q: md(q) - eta,
-                lambda q: modified_utility_deriv2(spec, n, q),
-                peak, q_upper, md(peak) - eta, md(q_upper) - eta))
-    # rising branch [lo, peak]: a stationary point is a local minimum, but it
-    # is enumerated for completeness
-    if md(lo) <= eta <= md(peak) and peak > lo:
-        candidates.append(_newton_bisect(
-            lambda q: md(q) - eta,
-            lambda q: modified_utility_deriv2(spec, n, q),
-            lo, peak, md(lo) - eta, md(peak) - eta))
-
-    best_q, best_val = None, -math.inf
-    for q in sorted(candidates):
-        val = modified_utility(spec, n, q) - eta * q
-        if val >= best_val:  # >= prefers the larger q on exact ties
-            best_q, best_val = q, val
-    flag = bool(modified_utility_deriv2(spec, n, best_q) > 0)
-    return ModifiedInverse(best_q, flag)
+    peak = np.minimum(config.concavity_thresholds[nc], hi)
+    lo_nc, hi_nc = np.full(peak.shape, lo), np.full(peak.shape, hi)
+    fall_ok = eta <= _shaded_marginal(config, peak, nc)
+    fall = np.where(eta <= _shaded_marginal(config, hi_nc, nc), hi,
+                    np.clip(q[nc], peak, hi))
+    rise_ok = (fall_ok & (peak > lo)
+               & (_shaded_marginal(config, lo_nc, nc) <= eta))
+    rise = np.clip(_shaded_root(r[nc], L, eta, 0), lo, peak)
+    # candidates in increasing q, so the last of the maxima is the larger q
+    cands = np.stack([lo_nc, rise, fall])
+    vals = _shaded_utility(config, cands, nc) - eta * cands
+    vals[1, ~rise_ok] = -np.inf
+    vals[2, ~fall_ok] = -np.inf
+    best = 2 - np.argmax(vals[::-1], axis=0)
+    q[nc] = cands[best, np.arange(best.size)]
+    flags[nc] = _shaded_curvature(config, q[nc], nc) > 0
+    return q, flags
 
 
-def _prosumer_best(spec, n, eta, s_max, q_upper, mode) -> ModifiedInverse:
-    if mode == MODE_TRUE:
-        return ModifiedInverse(
-            min(marginal_inverse_true(spec, eta, s_max), q_upper), False)
-    return marginal_inverse_modified(spec, n, eta, s_max, q_upper)
+def _find_bracket(excess, eta_lo, eta_hi):
+    """Widen [eta_lo, eta_hi] until excess demand changes sign across it.
 
-
-def _find_bracket(excess, eta_lo, eta_hi) -> tuple[DualBracket, tuple, tuple]:
+    Returns the bracket's ends and the excess evaluations at them.
+    """
     e_lo = excess(eta_lo)
     e_hi = excess(eta_hi)
     for _ in range(60):
@@ -253,7 +226,7 @@ def _find_bracket(excess, eta_lo, eta_hi) -> tuple[DualBracket, tuple, tuple]:
     if e_lo[0] < 0 or e_hi[0] > 0:
         raise BracketFailure(
             "no sign change in excess demand", eta_lo, eta_hi, e_lo[0], e_hi[0])
-    return DualBracket(eta_lo, eta_hi, e_lo[0], e_hi[0]), e_lo, e_hi
+    return eta_lo, eta_hi, e_lo, e_hi
 
 
 def solve_dual(config: MarketConfig, mode: str) -> SolveResult:
@@ -265,44 +238,40 @@ def solve_dual(config: MarketConfig, mode: str) -> SolveResult:
     whether |sum q_i| reached tol_root; in the modified mode's non-concave
     regime the argmax can jump across the balance point, in which case the
     best available eta is returned, the residual recorded, and the affected
-    prosumers listed in non_concave_prosumers.
+    prosumers listed in non_concave_prosumers. Emits one SaturationWarning
+    when the exponent clamp engages anywhere in the solve.
     """
     if mode not in MODES:
         raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
-    specs = config.utilities()
     n = config.n_prosumers
     s_max = config.s_max
     q_upper = config.q_upper
+    no_flags = np.zeros(n, dtype=bool)
 
     def excess(eta):
-        results = [_prosumer_best(s, n, eta, s_max, q_upper, mode)
-                   for s in specs]
-        qs = np.array([r.q for r in results])
-        flags = tuple(i for i, r in enumerate(results) if r.non_concave)
+        if mode == MODE_TRUE:
+            qs, flags = marginal_inverse_true(config, eta), no_flags
+        else:
+            qs, flags = marginal_inverse_modified(config, eta)
         return float(qs.sum()), qs, flags
 
-    def marginal(spec, q):
-        if mode == MODE_TRUE:
-            return float(spec.deriv(q))
-        return float(modified_utility_deriv(spec, n, q))
+    marginal = _marginal if mode == MODE_TRUE else _shaded_marginal
 
     # closed-form starting bracket: marginals at the interval ends, widened.
     # In the non-concave regime the shaded marginal peaks at the concavity
     # onset, so include that point when it lies inside the interval.
-    lo_candidates, hi_candidates = [], []
-    for spec in specs:
-        hi_points = [-s_max]
-        if mode == MODE_MODIFIED:
-            q_c = spec.modified_concavity_threshold(n)
-            if -s_max < q_c < q_upper:
-                hi_points.append(q_c)
-        lo_candidates.append(marginal(spec, q_upper))
-        hi_candidates.append(max(marginal(spec, p) for p in hi_points))
-    eta_lo = max(min(lo_candidates) / _BRACKET_WIDEN, 1e-300)
-    eta_hi = max(hi_candidates) * _BRACKET_WIDEN
+    hi_marginals = marginal(config, np.full(n, -s_max))
+    if mode == MODE_MODIFIED:
+        q_c = config.concavity_thresholds
+        inside = (-s_max < q_c) & (q_c < q_upper)
+        hi_marginals = np.where(
+            inside, np.maximum(hi_marginals, marginal(config, q_c)),
+            hi_marginals)
+    eta_lo = max(float(np.min(marginal(config, np.full(n, q_upper))))
+                 / _BRACKET_WIDEN, 1e-300)
+    eta_hi = float(np.max(hi_marginals)) * _BRACKET_WIDEN
 
-    bracket, e_lo, e_hi = _find_bracket(excess, eta_lo, eta_hi)
-    lo, hi = bracket.eta_lo, bracket.eta_hi
+    lo, hi, e_lo, e_hi = _find_bracket(excess, eta_lo, eta_hi)
     best = min((e_lo, lo), (e_hi, hi), key=lambda c: abs(c[0][0]))
 
     iterations = 0
@@ -318,27 +287,29 @@ def solve_dual(config: MarketConfig, mode: str) -> SolveResult:
         iterations += 1
 
     (total, qs, flags), eta = best
+    m = marginal(config, qs)
     at_capacity = np.abs(qs + s_max) <= config.tol_root
-    residuals = np.empty(n)
-    for i, spec in enumerate(specs):
-        m = marginal(spec, qs[i])
-        if at_capacity[i]:
-            residuals[i] = max(0.0, m - eta)
-        elif qs[i] >= q_upper - config.tol_root:
-            residuals[i] = max(0.0, eta - m)
-        else:
-            residuals[i] = abs(m - eta)
+    at_upper = qs >= q_upper - config.tol_root
+    residuals = np.where(at_capacity, np.maximum(0.0, m - eta),
+                         np.where(at_upper, np.maximum(0.0, eta - m),
+                                  np.abs(m - eta)))
     allocation = Allocation(qs, eta, residuals, at_capacity)
-    thetas = eta * (qs - config.d_min)
+    welfare_true = welfare(config, qs)
+    # every evaluation point lies at or above -s_max, so the clamp engaged
+    # iff it does there; welfare has already warned if it engaged at qs
+    rates = config.rates
+    if (np.max(rates) * s_max > _EXP_CLAMP
+            and not np.any(-rates * qs > _EXP_CLAMP)):
+        _warn_saturated(stacklevel=2)
     return SolveResult(
         allocation=allocation,
-        thetas=thetas,
+        thetas=eta * (qs - config.d_min),
         price=eta,
-        welfare_true=welfare(config, qs),
+        welfare_true=welfare_true,
         converged=bool(abs(total) <= config.tol_root),
         iterations=iterations,
         mode=mode,
-        non_concave_prosumers=flags,
+        non_concave_prosumers=tuple(np.flatnonzero(flags).tolist()),
         balance_residual=total,
     )
 
@@ -363,5 +334,4 @@ def welfare(config: MarketConfig, quantities) -> float:
     if q.shape != (config.n_prosumers,):
         raise DomainError(
             f"expected {config.n_prosumers} quantities, got shape {q.shape}")
-    return float(sum(utility_value(s, qi)
-                     for s, qi in zip(config.utilities(), q)))
+    return float(np.sum(config.offsets - _safe_exp(-config.rates * q)))

@@ -150,6 +150,25 @@ class TestExitCodes:
             "betas": [2.0, 2.0], "note": "hi"}), encoding="utf-8")
         assert cli_main(["solve", "--config", str(path)]) == 1
 
+    @pytest.mark.parametrize("key, value", [
+        ("n_prosumers", 2.7), ("n_prosumers", True), ("n_prosumers", "2"),
+        ("steps", 2.7),
+    ], ids=["n-fractional", "n-bool", "n-string", "steps-fractional"])
+    def test_non_integral_values_rejected(self, tmp_path, capsys, key, value):
+        payload = {"n_prosumers": 2, "d_min": 1.0, "s_max": 1.0,
+                   "betas": [2.0, 2.0],
+                   "sweep": {"variable": "s_max", "start": 0.5, "stop": 1.0,
+                             "steps": 3}}
+        block = payload["sweep"] if key == "steps" else payload
+        block[key] = value
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code = cli_main(["sweep", "--config", str(path),
+                         "--out", str(tmp_path / "rows.csv")])
+        assert code == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "rows.csv").exists()
+
     def test_solver_failure_exits_two(self, symmetric_config_path, monkeypatch,
                                       capsys):
         def boom(config, mode):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prosumer_market import (
@@ -105,6 +105,8 @@ class TestEq18Eq21:
         q=st.floats(-10.0, 30.0),
     )
     @settings(max_examples=300)
+    # at the threshold 5*d_min/beta - (n-1)*d_min, which rounds to about 0
+    @example(beta=1 / 3, d_min=1.0, n=16, q=-1.9e-67)
     def test_eq36_agrees_with_eq18(self, beta, d_min, n, q):
         cfg = MarketConfig(n, d_min, 3.0, (beta,) * n)
         quantities = np.full(n, q)

@@ -78,21 +78,9 @@ class TestRunSweep:
         vals = [r.param_value for r in bounded_rows]
         assert vals == sorted(vals)
 
-    def test_serial_and_threaded_agree(self):
+    def test_repeated_sweeps_agree(self):
         spec = case_study_spec("capacity_bounded", steps=4)
-        serial = run_sweep(spec, max_workers=1)
-        threaded = run_sweep(spec, max_workers=4)
-        assert serial == threaded
-
-    def test_env_var_caps_workers(self, monkeypatch):
-        monkeypatch.setenv(experiments.THREADS_ENV_VAR, "2")
-        assert experiments._max_workers() == 2
-        monkeypatch.setenv(experiments.THREADS_ENV_VAR, "zero")
-        with pytest.raises(ConfigError):
-            experiments._max_workers()
-        monkeypatch.setenv(experiments.THREADS_ENV_VAR, "0")
-        with pytest.raises(ConfigError):
-            experiments._max_workers()
+        assert run_sweep(spec) == run_sweep(spec)
 
     def test_bracket_failure_marks_row_without_aborting(self, monkeypatch):
         spec = case_study_spec("capacity_bounded", steps=3)
@@ -105,7 +93,7 @@ class TestRunSweep:
             return real(config, mode)
 
         monkeypatch.setattr(experiments, "solve_dual", flaky)
-        rows = run_sweep(spec, max_workers=1)
+        rows = run_sweep(spec)
         assert rows[1].error is not None
         assert np.isnan(rows[1].welfare_loss)
         assert rows[0].error is None and rows[2].error is None
@@ -132,8 +120,8 @@ class TestEmitCsv:
     def test_deterministic_bytes(self, tmp_path):
         spec = case_study_spec("capacity_bounded", steps=4)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_csv(run_sweep(spec, max_workers=1), p1)
-        emit_csv(run_sweep(spec, max_workers=3), p2)
+        emit_csv(run_sweep(spec), p1)
+        emit_csv(run_sweep(spec), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_empty_rows_rejected(self, tmp_path):
@@ -226,6 +214,38 @@ class TestLoadConfigFile:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_config_file(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_prosumers", 2.7),
+        ("n_prosumers", True),
+        ("n_prosumers", "3"),
+        ("d_min", "2.0"),
+        ("s_max", False),
+        ("betas", [3.5, "4.0", 5.5]),
+    ], ids=["n-fractional", "n-bool", "n-string", "d_min-string",
+            "s_max-bool", "beta-string"])
+    def test_non_numeric_market_values_rejected(self, tmp_path, key, value):
+        payload = self.base_payload()
+        payload[key] = value
+        with pytest.raises(ConfigError, match=key):
+            load_config_file(self.write(tmp_path, payload))
+
+    @pytest.mark.parametrize("key, value", [
+        ("steps", 2.7), ("steps", True), ("steps", "4"), ("start", "0.1"),
+    ], ids=["steps-fractional", "steps-bool", "steps-string", "start-string"])
+    def test_non_numeric_sweep_values_rejected(self, tmp_path, key, value):
+        payload = self.base_payload()
+        payload["sweep"] = {"variable": "s_max", "start": 0.1, "stop": 0.6,
+                            "steps": 4}
+        payload["sweep"][key] = value
+        with pytest.raises(ConfigError, match=key):
+            load_config_file(self.write(tmp_path, payload))
+
+    def test_non_numeric_tolerance_rejected(self, tmp_path):
+        payload = self.base_payload()
+        payload["tolerances"] = {"tol_root": "1e-9"}
+        with pytest.raises(ConfigError, match="tol_root"):
+            load_config_file(self.write(tmp_path, payload))
 
     def test_domain_violations_become_config_errors(self, tmp_path):
         payload = self.base_payload()

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -236,13 +236,15 @@ class TestModifiedUtility:
         offsets=st.tuples(st.floats(0.001, 10.0), st.floats(0.001, 10.0)),
     )
     @settings(max_examples=150)
+    # distinct offsets that land on the same float once added to q_c = 4
+    @example(beta=1.0, d_min=1.0, n=2, offsets=(0.30000000000000004, 0.3))
     def test_ordered_pairs_on_concave_region(self, beta, d_min, n, offsets):
         spec = ExponentialUtility(beta, d_min)
         q_c = spec.modified_concavity_threshold(n)
         a, b = sorted(offsets)
-        if a == b:
-            return
         lo, hi = q_c + a, q_c + b
+        if lo == hi:
+            return
         assert modified_utility_deriv(spec, n, hi) < modified_utility_deriv(
             spec, n, lo)
 

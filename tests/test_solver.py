@@ -1,18 +1,19 @@
 """Tests for the dual-decomposition equilibrium solver."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from prosumer_market import (
     Allocation,
     DomainError,
-    DualBracket,
-    ExponentialUtility,
     MarketConfig,
     MODE_MODIFIED,
     MODE_TRUE,
+    SaturationWarning,
     brute_force_program,
     check_eq21,
     clearing_price,
@@ -25,7 +26,7 @@ from prosumer_market import (
     solve_dual,
     welfare,
 )
-from prosumer_market.solver import _find_bracket
+from prosumer_market.solver import _find_bracket, _shaded_root
 
 
 def symmetric_config(n=11, beta=2.5, d_min=4.0, s_max=3.0):
@@ -34,73 +35,179 @@ def symmetric_config(n=11, beta=2.5, d_min=4.0, s_max=3.0):
 
 class TestMarginalInverseTrue:
     def test_inverse_at_known_point(self):
-        spec = ExponentialUtility(2.5, 4.0)
-        assert marginal_inverse_true(spec, spec.deriv(0.0), 3.0) == pytest.approx(
-            0.0, abs=1e-12)
+        cfg = symmetric_config(n=2)
+        eta = cfg.utilities()[0].deriv(0.0)
+        np.testing.assert_allclose(marginal_inverse_true(cfg, eta), 0.0,
+                                   atol=1e-12)
 
     def test_large_eta_clips_at_capacity(self):
-        spec = ExponentialUtility(2.5, 4.0)
-        assert marginal_inverse_true(spec, 1e6, 3.0) == -3.0
+        cfg = symmetric_config(n=2)
+        np.testing.assert_array_equal(marginal_inverse_true(cfg, 1e6), -3.0)
+
+    def test_small_eta_clips_at_upper_bound(self):
+        cfg = symmetric_config(n=2)
+        np.testing.assert_array_equal(marginal_inverse_true(cfg, 1e-6),
+                                      cfg.q_upper)
 
     def test_symbolic_inversion(self):
-        spec = ExponentialUtility(2.5, 4.0)
+        cfg = symmetric_config(n=3)
         eta = (2.5 / 20.0) * math.exp(-0.5)
-        assert marginal_inverse_true(spec, eta, 3.0) == pytest.approx(4.0, rel=1e-14)
+        np.testing.assert_allclose(marginal_inverse_true(cfg, eta), 4.0,
+                                   rtol=1e-14)
 
     def test_eta_must_be_positive(self):
-        spec = ExponentialUtility(2.5, 4.0)
         with pytest.raises(DomainError):
-            marginal_inverse_true(spec, 0.0, 3.0)
-
-    def test_numeric_fallback_matches_closed_form(self):
-        class NoInverse(ExponentialUtility):
-            def deriv_inverse(self, eta):
-                raise NotImplementedError
-
-        a = ExponentialUtility(1.4, 2.0)
-        b = NoInverse(1.4, 2.0)
-        for eta in (0.01, 0.1, 0.5, 3.0):
-            assert marginal_inverse_true(b, eta, 5.0) == pytest.approx(
-                marginal_inverse_true(a, eta, 5.0), abs=1e-10)
+            marginal_inverse_true(symmetric_config(n=2), 0.0)
 
 
 class TestMarginalInverseModified:
     def test_inverse_at_known_point_concave(self):
         # beta large enough that the concave region covers [-s_max, inf)
-        spec = ExponentialUtility(6.0, 1.0)
-        n, s_max = 11, 3.0
-        assert spec.modified_concavity_threshold(n) <= -s_max
-        eta = modified_utility_deriv(spec, n, 0.0)
-        res = marginal_inverse_modified(spec, n, eta, s_max, 30.0)
-        assert res.q == pytest.approx(0.0, abs=1e-10)
-        assert not res.non_concave
+        cfg = MarketConfig(11, 1.0, 3.0, (6.0,) * 11)
+        assert np.all(cfg.concavity_thresholds <= -cfg.s_max)
+        eta = modified_utility_deriv(cfg.utilities()[0], 11, 0.0)
+        q, flags = marginal_inverse_modified(cfg, eta)
+        np.testing.assert_allclose(q, 0.0, atol=1e-10)
+        assert not flags.any()
 
     def test_capacity_clip_concave(self):
-        spec = ExponentialUtility(6.0, 1.0)
-        n, s_max = 11, 3.0
-        eta = modified_utility_deriv(spec, n, -s_max) * 2.0
-        res = marginal_inverse_modified(spec, n, eta, s_max, 30.0)
-        assert res.q == -s_max
-        assert not res.non_concave
+        cfg = MarketConfig(11, 1.0, 3.0, (6.0,) * 11)
+        eta = modified_utility_deriv(cfg.utilities()[0], 11, -3.0) * 2.0
+        q, flags = marginal_inverse_modified(cfg, eta)
+        np.testing.assert_array_equal(q, -3.0)
+        assert not flags.any()
 
     def test_non_concave_matches_dense_grid(self):
         # capacity extends past the concavity onset: enumeration regime
-        spec = ExponentialUtility(0.6, 1.0)
-        n, s_max, q_upper = 11, 3.0, 30.0
-        assert spec.modified_concavity_threshold(n) > -s_max
+        cfg = MarketConfig(11, 1.0, 3.0, (0.6,) * 11)
+        spec = cfg.utilities()[0]
+        assert np.all(cfg.concavity_thresholds > -cfg.s_max)
+        grid = np.linspace(-cfg.s_max, cfg.q_upper, 1_000_001)
         for eta in (0.02, 0.05, 0.08, 0.11):
-            res = marginal_inverse_modified(spec, n, eta, s_max, q_upper)
-            grid = np.linspace(-s_max, q_upper, 1_000_001)
-            lagr = modified_utility(spec, n, grid) - eta * grid
+            q, _ = marginal_inverse_modified(cfg, eta)
+            lagr = modified_utility(spec, 11, grid) - eta * grid
             q_star = grid[int(np.argmax(lagr))]
-            assert res.q == pytest.approx(q_star, abs=1e-4)
+            np.testing.assert_allclose(q, q_star, atol=1e-4)
 
     def test_flags_non_concave_point(self):
-        spec = ExponentialUtility(0.6, 1.0)
+        cfg = MarketConfig(11, 1.0, 3.0, (0.6,) * 11)
         # huge eta forces the capacity bound, which sits off the concave region
-        res = marginal_inverse_modified(spec, 11, 10.0, 3.0, 30.0)
-        assert res.q == -3.0
-        assert res.non_concave
+        q, flags = marginal_inverse_modified(cfg, 10.0)
+        np.testing.assert_array_equal(q, -3.0)
+        assert flags.all()
+
+
+def _log_shaded_marginal(beta, d_min, n, q):
+    """ln of (1 + q/L) * r * exp(-r*q), written out apart from the package."""
+    r, L = beta / (5.0 * d_min), (n - 1) * d_min
+    return math.log1p(q / L) + math.log(r) - r * q
+
+
+def _brentq_root(beta, d_min, n, eta, lo, hi):
+    """Scalar root of the shaded marginal minus eta on [lo, hi], in log form."""
+    return brentq(lambda q: _log_shaded_marginal(beta, d_min, n, q)
+                  - math.log(eta), lo, hi, xtol=1e-15, rtol=1e-15,
+                  maxiter=500)
+
+
+class TestInverseAgainstBrentq:
+    """The closed-form inversion against an independent scalar root."""
+
+    @pytest.mark.parametrize("beta", [0.6, 2.5, 6.0])
+    def test_both_lambert_w_branches(self, beta):
+        d_min, n = 1.5, 7
+        r, L = beta / (5.0 * d_min), (n - 1) * d_min
+        q_c = 1.0 / r - L
+        # the shaded marginal rises on (-L, q_c) and falls above q_c
+        for offset in (0.05, 0.5, 2.0, 8.0):
+            target = q_c + offset / r
+            eta = math.exp(_log_shaded_marginal(beta, d_min, n, target))
+            rising = _shaded_root(np.array([r]), L, eta, 0)
+            falling = _shaded_root(np.array([r]), L, eta, -1)
+            want_rise = _brentq_root(beta, d_min, n, eta, -L * (1.0 - 1e-12), q_c)
+            want_fall = _brentq_root(beta, d_min, n, eta, q_c, q_c + 50.0 / r)
+            assert rising[0] == pytest.approx(want_rise, abs=1e-11)
+            assert falling[0] == pytest.approx(want_fall, abs=1e-11)
+            assert falling[0] == pytest.approx(target, abs=1e-11)
+
+    @pytest.mark.parametrize("delta", [1e-9, 1e-7, 1e-5, 1e-3, 1e-2])
+    def test_near_branch_point(self, delta):
+        # u = r*(q + L) within delta of 1, the eq21 threshold. The marginal
+        # is flat there, so eta fixes q only to about sqrt(eps)/r.
+        beta, d_min, n = 2.0, 1.0, 5
+        r, L = beta / (5.0 * d_min), (n - 1) * d_min
+        q_c = 1.0 / r - L
+        for sign in (1.0, -1.0):
+            target = q_c + sign * delta / r
+            eta = math.exp(_log_shaded_marginal(beta, d_min, n, target))
+            rising = _shaded_root(np.array([r]), L, eta, 0)
+            falling = _shaded_root(np.array([r]), L, eta, -1)
+            if _log_shaded_marginal(beta, d_min, n, q_c) <= math.log(eta):
+                want_rise = want_fall = q_c  # eta rounds onto the peak
+            else:
+                want_rise = _brentq_root(beta, d_min, n, eta,
+                                         -L * (1.0 - 1e-12), q_c)
+                want_fall = _brentq_root(beta, d_min, n, eta, q_c,
+                                         q_c + 50.0 / r)
+            tol = 5e-8 / r
+            assert rising[0] == pytest.approx(want_rise, abs=tol)
+            assert falling[0] == pytest.approx(want_fall, abs=tol)
+            assert rising[0] <= q_c <= falling[0]
+            own_branch = falling[0] if sign > 0 else rising[0]
+            assert own_branch == pytest.approx(target, abs=tol)
+            for q in (rising[0], falling[0]):
+                log_m = _log_shaded_marginal(beta, d_min, n, q)
+                assert log_m == pytest.approx(math.log(eta), abs=1e-14)
+
+    def test_above_peak_returns_peak(self):
+        r, L = np.array([0.4, 1.0]), 4.0
+        rising = _shaded_root(r, L, 1e3, 0)
+        falling = _shaded_root(r, L, 1e3, -1)
+        np.testing.assert_allclose(rising, 1.0 / r - L)
+        np.testing.assert_allclose(falling, 1.0 / r - L)
+
+    @pytest.mark.parametrize("beta", [1e3, 1e4])
+    def test_underflowing_z(self, beta):
+        # exp(-r*L) underflows: the root is solved in log space
+        cfg = MarketConfig(3, 1.0, 1.0, (beta,) * 3)
+        r = beta / 5.0
+        checked = 0
+        for q_target in (-0.9, -0.3, -0.28, 0.0, 0.3, 0.5, 1.6, 1.95):
+            log_eta = _log_shaded_marginal(beta, 1.0, 3, q_target)
+            if abs(log_eta) > 700.0:
+                continue  # eta itself would overflow or underflow
+            eta = math.exp(log_eta)
+            checked += 1
+            want = _brentq_root(beta, 1.0, 3, eta, 1.0 / r - 2.0, cfg.q_upper)
+            q, flags = marginal_inverse_modified(cfg, eta)
+            np.testing.assert_allclose(q, want, atol=1e-12)
+            assert not flags.any()
+        assert checked >= 3
+
+    def test_clipped_prosumers(self):
+        # one eta puts prosumers at -s_max, inside, and at q_upper
+        betas = (2.0, 3.0, 5.0, 8.0)
+        cfg = MarketConfig(4, 2.0, 0.5, betas)
+        assert np.all(cfg.concavity_thresholds <= -cfg.s_max)
+        lo, hi = -cfg.s_max, cfg.q_upper
+        seen = set()
+        for eta in np.geomspace(1e-3, 2.0, 40):
+            q, flags = marginal_inverse_modified(cfg, eta)
+            assert not flags.any()
+            for i, beta in enumerate(betas):
+                f_lo = _log_shaded_marginal(beta, 2.0, 4, lo) - math.log(eta)
+                f_hi = _log_shaded_marginal(beta, 2.0, 4, hi) - math.log(eta)
+                if f_lo <= 0:
+                    assert q[i] == lo
+                    seen.add("lo")
+                elif f_hi >= 0:
+                    assert q[i] == hi
+                    seen.add("hi")
+                else:
+                    want = _brentq_root(beta, 2.0, 4, eta, lo, hi)
+                    assert q[i] == pytest.approx(want, abs=1e-12)
+                    seen.add("interior")
+        assert seen == {"lo", "hi", "interior"}
 
 
 class TestSolveDual:
@@ -184,22 +291,27 @@ class TestSolveDual:
     def test_dual_excess_monotone(self):
         cfg = MarketConfig(11, 1.0, 3.0,
                            tuple(0.5 + 0.1 * i for i in range(1, 12)))
-        specs = cfg.utilities()
-
-        def excess(eta, mode):
-            if mode == MODE_TRUE:
-                qs = [min(marginal_inverse_true(s, eta, cfg.s_max), cfg.q_upper)
-                      for s in specs]
-            else:
-                qs = [marginal_inverse_modified(
-                    s, cfg.n_prosumers, eta, cfg.s_max, cfg.q_upper).q
-                    for s in specs]
-            return sum(qs)
-
-        for mode in (MODE_TRUE, MODE_MODIFIED):
-            etas = np.geomspace(1e-4, 10.0, 60)
-            vals = [excess(e, mode) for e in etas]
+        etas = np.geomspace(1e-4, 10.0, 60)
+        for inverse in (marginal_inverse_true,
+                        lambda c, e: marginal_inverse_modified(c, e)[0]):
+            vals = [float(inverse(cfg, e).sum()) for e in etas]
             assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("mode, betas, d_min, s_max", [
+        (MODE_TRUE, (1e4,) * 3, 1.0, 1.0),
+        (MODE_MODIFIED, (1e4,) * 3, 1.0, 1.0),
+        # the returned allocation saturates the welfare evaluation as well
+        (MODE_TRUE, (30.0, 2400.0, 2.0), 0.125, 0.65),
+    ], ids=["true", "modified", "true-welfare-saturated"])
+    def test_saturation_warns_once_per_solve(self, mode, betas, d_min, s_max):
+        # r*s_max > 700: the exponent clamp engages in every solve
+        cfg = MarketConfig(3, d_min, s_max, betas)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            solve_dual(cfg, mode)
+        saturation = [w for w in caught
+                      if issubclass(w.category, SaturationWarning)]
+        assert len(saturation) == 1
 
     def test_non_concave_tie_jump_is_reported(self):
         # two identical prosumers whose shaded curves are convex on the whole
@@ -275,12 +387,6 @@ class TestWelfare:
 
 
 class TestBracketPlumbing:
-    def test_dual_bracket_validation(self):
-        with pytest.raises(DomainError):
-            DualBracket(1.0, 0.5, 1.0, -1.0)
-        with pytest.raises(DomainError):
-            DualBracket(0.5, 1.0, -1.0, -2.0)
-
     def test_bracket_failure_diagnostics(self):
         from prosumer_market import BracketFailure
 
