@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .market import MarketConfig, _safe_exp
+from .market import MarketConfig, _curvature, _marginal
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ def eq15_bounds(thetas, config: MarketConfig,
     q = np.asarray(quantities, dtype=float)
     rivals = _rival_sums(t)
     r = config.rates
-    if np.any(r * _safe_exp(-r * q) == 0):
+    if np.any(_marginal(r, q) == 0):
         raise DomainError("marginal utility vanished; ratio S''/S' undefined")
     # S''/S' = -r for the exponential family
     lower = -rivals * (config.n_prosumers * config.d_min / 2.0 * -r + 1.0)
@@ -115,8 +115,7 @@ def check_eq18(quantities, config: MarketConfig) -> np.ndarray:
     evaluated only to reject points where it has vanished.
     """
     q = np.asarray(quantities, dtype=float)
-    r = config.rates
-    if np.any(-r ** 2 * _safe_exp(-r * q) == 0):
+    if np.any(_curvature(config.rates, q) == 0):
         raise DomainError("second derivative vanished; threshold undefined")
     return q >= config.concavity_thresholds
 

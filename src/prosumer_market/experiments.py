@@ -21,6 +21,7 @@ Four canonical 11-prosumer panels ship with the package:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,8 @@ class SweepSpec:
                 f"variable must be one of {SWEEP_VARIABLES}, got {self.variable!r}")
         if self.steps < 2:
             raise DomainError(f"steps must be at least 2, got {self.steps}")
+        if not all(map(math.isfinite, (self.start, self.stop))):
+            raise DomainError("start and stop must be finite")
         if self.start == self.stop:
             raise DomainError("start and stop must differ")
         if min(self.start, self.stop) <= 0:

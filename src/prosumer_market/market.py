@@ -17,7 +17,7 @@ capacity -s_max.
 
 Each prosumer carries a utility/cost curve S(q) (utility when positive, cost
 when negative) that is strictly increasing, strictly concave and zero at
-d_min. The shipped family is exponential,
+d_min. It is exponential,
 
     S(q) = exp(-beta/5) - exp(-beta*q/(5*d_min)),
 
@@ -33,37 +33,17 @@ whose derivative collapses to (1 + q/((n-1)*d_min)) * S'(q).
 
 from __future__ import annotations
 
-import abc
 import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError, InvalidBids, SaturationWarning
 
 # exp() overflows float64 near 710; clamp and warn instead of propagating inf
 _EXP_CLAMP = 700.0
-
-#: adaptive-quadrature tolerance for the integral fallback in modified_utility
-QUAD_TOL = 1e-10
-
-
-def _safe_exp(x):
-    """exp(x) with the argument clamped above at +700.
-
-    Emits a SaturationWarning when the clamp engages; large negative
-    arguments need no guard (they underflow cleanly to 0). Accepts scalars
-    or arrays; returns the same shape.
-    """
-    arr = np.asarray(x, dtype=float)
-    clipped = np.minimum(arr, _EXP_CLAMP)
-    if np.any(clipped != arr):
-        _warn_saturated(stacklevel=3)
-    out = np.exp(clipped)
-    return out if arr.ndim else float(out)
 
 
 def _warn_saturated(stacklevel: int) -> None:
@@ -71,126 +51,102 @@ def _warn_saturated(stacklevel: int) -> None:
                   SaturationWarning, stacklevel=stacklevel + 1)
 
 
-class UtilitySpec(abc.ABC):
-    """A prosumer's utility/cost curve.
+def _require_positive(name: str, value) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise DomainError(f"{name} must be positive and finite, got {value}")
 
-    Contract: value(d_min) = 0, deriv > 0 everywhere (strictly increasing),
-    deriv2 < 0 everywhere (strictly concave). value(q) is read as a utility
-    when positive and as a production/prosumption cost when negative; the
-    sign over (0, d_min) is conventionally negative but not enforced here.
 
-    antideriv and deriv_inverse are optional accelerators: subclasses that
-    cannot supply them in closed form may leave them unimplemented, and
-    callers fall back to quadrature / bracketed root-finding.
+# The exponential kernel, the only implementation of S and the shaded curve.
+# Each function broadcasts q against per-prosumer rates r = beta/(5*d_min)
+# and offsets exp(-beta/5): MarketConfig.rates/offsets for all prosumers at
+# once, or one prosumer's scalars. L = (N-1)*d_min is the shading length.
+# Exponents are clamped at +700, which is exact for q >= -3500*d_min/beta;
+# with warn=True a SaturationWarning reports that the clamp engaged.
+
+def _decay(r, q, warn: bool):
+    """exp(-r*q) with the exponent clamped above at +700."""
+    x = -r * np.asarray(q, dtype=float)
+    clipped = np.minimum(x, _EXP_CLAMP)
+    if warn and np.any(clipped != x):
+        _warn_saturated(stacklevel=3)
+    return np.exp(clipped)
+
+
+def _utility(r, offset, q, warn: bool = True):
+    """S(q) = exp(-beta/5) - exp(-r*q)."""
+    return offset - _decay(r, q, warn)
+
+
+def _marginal(r, q, warn: bool = True):
+    """S'(q) = r*exp(-r*q)."""
+    return r * _decay(r, q, warn)
+
+
+def _curvature(r, q, warn: bool = True):
+    """S''(q) = -r**2*exp(-r*q)."""
+    return -r ** 2 * _decay(r, q, warn)
+
+
+def _antideriv(r, offset, q, warn: bool = True):
+    """A(q) = exp(-beta/5)*q + exp(-r*q)/r, an antiderivative of S."""
+    return offset * q + _decay(r, q, warn) / r
+
+
+def _shaded_utility(r, offset, L: float, d_min: float, q, warn: bool = True):
+    """S_mod(q) = (1 + q/L)*S(q) - (A(q) - A(d_min))/L."""
+    q = np.asarray(q, dtype=float)
+    e = _decay(r, q, warn)
+    integral = (offset * q + e / r) - _antideriv(r, offset, d_min, warn)
+    return (1.0 + q / L) * (offset - e) - integral / L
+
+
+def _shaded_marginal(r, L: float, q, warn: bool = True):
+    """S_mod'(q) = (1 + q/L)*S'(q)."""
+    return (1.0 + np.asarray(q, dtype=float) / L) * _marginal(r, q, warn)
+
+
+def _shaded_curvature(r, L: float, q, warn: bool = True):
+    """S_mod''(q) = (1 + q/L)*S''(q) + S'(q)/L; positive off the concave region."""
+    q = np.asarray(q, dtype=float)
+    e = _decay(r, q, warn)
+    return (1.0 + q / L) * (-r ** 2 * e) + (r * e) / L
+
+
+def _shading_length(n: int, d_min: float) -> float:
+    if n < 2:
+        raise DomainError(f"market size must be at least 2, got {n}")
+    return (n - 1) * d_min
+
+
+class ExponentialUtility:
+    """One prosumer's utility/cost curve.
+
+    S(q) = exp(-beta/5) - exp(-beta*q/(5*d_min)): zero at d_min, strictly
+    increasing and strictly concave, steeper for larger beta; read as a
+    utility when positive and as a supply cost when negative. All methods
+    accept scalars or numpy arrays and warn when the exponent clamp engages.
     """
 
     def __init__(self, beta: float, d_min: float):
-        if beta <= 0:
-            raise DomainError(f"beta must be positive, got {beta}")
-        if d_min <= 0:
-            raise DomainError(f"d_min must be positive, got {d_min}")
+        _require_positive("beta", beta)
+        _require_positive("d_min", d_min)
         self.beta = float(beta)
         self.d_min = float(d_min)
-
-    @abc.abstractmethod
-    def value(self, q):
-        """S(q); scalar or elementwise on arrays."""
-
-    @abc.abstractmethod
-    def deriv(self, q):
-        """S'(q) > 0."""
-
-    @abc.abstractmethod
-    def deriv2(self, q):
-        """S''(q) < 0."""
-
-    def antideriv(self, q):
-        """An exact antiderivative of value(), if available in closed form."""
-        raise NotImplementedError
-
-    def deriv_inverse(self, eta):
-        """The unique q with deriv(q) = eta, if available in closed form."""
-        raise NotImplementedError
-
-    def has_antideriv(self) -> bool:
-        try:
-            self.antideriv(self.d_min)
-        except NotImplementedError:
-            return False
-        return True
-
-    def modified_concavity_threshold(self, n: int) -> float:
-        """Left edge of the region where the modified curve is concave.
-
-        Generic implementation: locate the sign change of the modified
-        second derivative by expanding bisection (assumes a single
-        crossing, which holds for curves whose -deriv/deriv2 is bounded).
-        Returns -inf when no crossing is found below the expansion limit,
-        i.e. the modified curve is concave on the whole probed range.
-        """
-        if n < 2:
-            raise DomainError(f"market size must be at least 2, got {n}")
-
-        def g(q):
-            return modified_utility_deriv2(self, n, q)
-
-        hi = self.d_min
-        if g(hi) > 0:  # concave region starts above d_min; expand up
-            while g(hi) > 0:
-                hi = 2 * abs(hi) + 1.0
-                if hi > 1e12:
-                    raise DomainError("no concavity onset found below 1e12")
-        lo = -(n - 1) * self.d_min  # marginal multiplier vanishes here; g > 0
-        if g(lo) <= 0:
-            return -math.inf
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if g(mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-14 * max(1.0, abs(hi)):
-                break
-        return hi
-
-
-class ExponentialUtility(UtilitySpec):
-    """The shipped exponential utility/cost family.
-
-    S(q) = exp(-beta/5) - exp(-beta*q/(5*d_min)); steeper for larger beta.
-    All accessors accept scalars or numpy arrays. Exponent arguments are
-    clamped at +-700, so values are exact for q >= -3500*d_min/beta (far
-    below any reachable net supply: a market of N prosumers can never push
-    one participant below -N*s_max at the scales used here).
-    """
-
-    def __init__(self, beta: float, d_min: float):
-        super().__init__(beta, d_min)
+        # the same roundings as MarketConfig.rates and MarketConfig.offsets
         self._rate = self.beta / (5.0 * self.d_min)
-        self._offset = math.exp(-self.beta / 5.0)
+        self._offset = float(np.exp(-self.beta / 5.0))
 
     def value(self, q):
-        return self._offset - _safe_exp(-self._rate * np.asarray(q, float))
+        return _utility(self._rate, self._offset, q)
 
     def deriv(self, q):
-        return self._rate * _safe_exp(-self._rate * np.asarray(q, float))
+        return _marginal(self._rate, q)
 
     def deriv2(self, q):
-        return -self._rate ** 2 * _safe_exp(-self._rate * np.asarray(q, float))
+        return _curvature(self._rate, q)
 
     def antideriv(self, q):
-        q = np.asarray(q, float)
-        return self._offset * q + _safe_exp(-self._rate * q) / self._rate
-
-    def deriv_inverse(self, eta):
-        if eta <= 0:
-            raise DomainError(f"marginal utility is positive; got eta={eta}")
-        return -math.log(eta / self._rate) / self._rate
-
-    def modified_concavity_threshold(self, n: int) -> float:
-        if n < 2:
-            raise DomainError(f"market size must be at least 2, got {n}")
-        return 5.0 * self.d_min / self.beta - (n - 1) * self.d_min
+        return _antideriv(self._rate, self._offset, q)
 
 
 @dataclass(frozen=True)
@@ -217,25 +173,20 @@ class MarketConfig:
         if self.n_prosumers < 2:
             raise DomainError(
                 f"need at least 2 prosumers, got {self.n_prosumers}")
-        if not self.d_min > 0:
-            raise DomainError(f"d_min must be positive, got {self.d_min}")
-        if not self.s_max > 0:
-            raise DomainError(f"s_max must be positive, got {self.s_max}")
+        _require_positive("d_min", self.d_min)
+        _require_positive("s_max", self.s_max)
         betas = tuple(float(b) for b in self.betas)
         if len(betas) != self.n_prosumers:
             raise DomainError(
                 f"expected {self.n_prosumers} betas, got {len(betas)}")
-        if any(not b > 0 for b in betas):
-            raise DomainError("all betas must be positive")
+        for b in betas:
+            _require_positive("beta", b)
         object.__setattr__(self, "betas", betas)
         if self.eps_price is None:
             object.__setattr__(
                 self, "eps_price", 1e-9 * self.n_prosumers * self.d_min)
-        if not self.eps_price > 0:
-            raise DomainError(
-                f"eps_price must be positive, got {self.eps_price}")
-        if not self.tol_root > 0 or not self.tol_kkt > 0:
-            raise DomainError("tolerances must be positive")
+        for name in ("eps_price", "tol_root", "tol_kkt"):
+            _require_positive(name, getattr(self, name))
 
     def utilities(self) -> tuple[ExponentialUtility, ...]:
         return tuple(ExponentialUtility(b, self.d_min) for b in self.betas)
@@ -305,90 +256,26 @@ def clearing_price(thetas, d_min: float) -> float:
     return -total / (t.size * d_min)
 
 
-def utility_value(spec: UtilitySpec, q):
-    """S(q): utility of net consumption (positive) or cost of supply (negative)."""
-    return spec.value(q)
-
-
-def utility_deriv(spec: UtilitySpec, q):
-    """S'(q), strictly positive."""
-    return spec.deriv(q)
-
-
-def _modified_weight(n: int, d_min: float, q):
-    return 1.0 + np.asarray(q, float) / ((n - 1) * d_min)
-
-
-def modified_utility(spec: UtilitySpec, n: int, q, method: str = "auto"):
+def modified_utility(spec: ExponentialUtility, n: int, q):
     """Utility/cost curve that strategic prosumers effectively maximize.
 
     S_mod(q) = (1 + q/((n-1)*d_min)) * S(q) - I(q)/((n-1)*d_min) with
     I(q) the integral of S from d_min to q. Both the q >= d_min and
     q < d_min readings of that integral agree, so the curve is a single
     smooth expression; it vanishes at q = d_min along with S.
-
-    method: "auto" uses the spec's exact antiderivative when available,
-    "antideriv" requires it, "quadrature" forces the adaptive-quadrature
-    fallback (tolerance QUAD_TOL) kept for utility families without a
-    closed-form antiderivative.
     """
-    if n < 2:
-        raise DomainError(f"market size must be at least 2, got {n}")
-    if method not in ("auto", "antideriv", "quadrature"):
-        raise DomainError(f"unknown method {method!r}")
-    L = (n - 1) * spec.d_min
-    use_antideriv = method == "antideriv" or (
-        method == "auto" and spec.has_antideriv())
-    if use_antideriv:
-        integral = spec.antideriv(q) - spec.antideriv(spec.d_min)
-    else:
-        def one(x):
-            val, _ = integrate.quad(
-                spec.value, spec.d_min, x, epsabs=QUAD_TOL, epsrel=QUAD_TOL)
-            return val
-        q_arr = np.asarray(q, float)
-        integral = (np.array([one(x) for x in np.atleast_1d(q_arr)])
-                    .reshape(q_arr.shape) if q_arr.ndim else one(float(q_arr)))
-    return _modified_weight(n, spec.d_min, q) * spec.value(q) - integral / L
+    L = _shading_length(n, spec.d_min)
+    return _shaded_utility(spec._rate, spec._offset, L, spec.d_min, q)
 
 
-def modified_utility_deriv(spec: UtilitySpec, n: int, q):
+def modified_utility_deriv(spec: ExponentialUtility, n: int, q):
     """d/dq of modified_utility: (1 + q/((n-1)*d_min)) * S'(q)."""
-    if n < 2:
-        raise DomainError(f"market size must be at least 2, got {n}")
-    return _modified_weight(n, spec.d_min, q) * spec.deriv(q)
+    return _shaded_marginal(spec._rate, _shading_length(n, spec.d_min), q)
 
 
-def modified_utility_deriv2(spec: UtilitySpec, n: int, q):
+def modified_utility_deriv2(spec: ExponentialUtility, n: int, q):
     """Second derivative of modified_utility; <= 0 exactly on the concave region."""
-    if n < 2:
-        raise DomainError(f"market size must be at least 2, got {n}")
-    L = (n - 1) * spec.d_min
-    return _modified_weight(n, spec.d_min, q) * spec.deriv2(q) + spec.deriv(q) / L
-
-
-@dataclass(frozen=True)
-class BidProfile:
-    """A bid vector with its induced clearing price and net quantities."""
-
-    thetas: np.ndarray
-    price: float
-    quantities: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.thetas, dtype=float).copy()
-        q = np.asarray(self.quantities, dtype=float).copy()
-        t.setflags(write=False)
-        q.setflags(write=False)
-        object.__setattr__(self, "thetas", t)
-        object.__setattr__(self, "quantities", q)
-
-    @classmethod
-    def from_thetas(cls, thetas, d_min: float) -> "BidProfile":
-        price = clearing_price(thetas, d_min)
-        quantities = np.array(
-            [quantity_from_bid(t, price, d_min) for t in np.asarray(thetas, float)])
-        return cls(np.asarray(thetas, float), price, quantities)
+    return _shaded_curvature(spec._rate, _shading_length(n, spec.d_min), q)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, TooLarge, UnboundedPayoff
-from .market import Allocation, MarketConfig, modified_utility
+from .market import (Allocation, MarketConfig, _marginal, _shaded_marginal,
+                     _shaded_utility, _shading_length, _utility)
 from .solver import MODE_TRUE, MODES
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -64,10 +65,9 @@ def strategic_payoff(i: int, thetas, config: MarketConfig) -> float:
 
 def _payoff_curve(i, theta_i, rival_sum, config):
     """Vectorized payoff of prosumer i over an array of own bids."""
-    spec = config.utilities()[i]
     price = -(theta_i + rival_sum) / (config.n_prosumers * config.d_min)
     q = config.d_min + theta_i / price
-    return spec.value(q) - price * q
+    return _utility(config.rates[i], config.offsets[i], q) - price * q
 
 
 def _capacity_lower_bound(rival_sum: float, config: MarketConfig) -> float:
@@ -146,10 +146,9 @@ def best_response(i: int, thetas, config: MarketConfig,
 
     span = theta_hi - theta_lb
     theta_star, payoff_star = _golden_max(f, lo, hi, tol=1e-12 * max(1.0, span))
-    # the endpoints of the refined bracket can beat its midpoint
-    for x, px in ((grid[k], float(payoffs[k])),):
-        if px > payoff_star:
-            theta_star, payoff_star = x, px
+    # the grid point the refined bracket came from can beat its midpoint
+    if payoffs[k] > payoff_star:
+        theta_star, payoff_star = grid[k], float(payoffs[k])
 
     payoff_at_candidate = strategic_payoff(i, t, config)
     return BestResponseResult(
@@ -162,11 +161,12 @@ def best_response(i: int, thetas, config: MarketConfig,
 
 
 def _objective(config: MarketConfig, mode: str):
-    specs = config.utilities()
-    n = config.n_prosumers
+    """The curve of prosumer i at q: S_i in the true mode, else S_mod,i."""
+    r, offsets, d_min = config.rates, config.offsets, config.d_min
     if mode == MODE_TRUE:
-        return lambda i, q: specs[i].value(q)
-    return lambda i, q: modified_utility(specs[i], n, q)
+        return lambda i, q: _utility(r[i], offsets[i], q)
+    L = _shading_length(config.n_prosumers, d_min)
+    return lambda i, q: _shaded_utility(r[i], offsets[i], L, d_min, q)
 
 
 def brute_force_program(config: MarketConfig, mode: str,
@@ -230,23 +230,15 @@ def brute_force_program(config: MarketConfig, mode: str,
 
 def _certify(config: MarketConfig, mode: str, quantities) -> Allocation:
     """Wrap a grid optimum as an Allocation with an estimated dual price."""
-    from .market import modified_utility_deriv  # local to avoid import cycle noise
-    specs = config.utilities()
-    n = config.n_prosumers
-
-    def marginal(i, q):
-        if mode == MODE_TRUE:
-            return float(specs[i].deriv(q))
-        return float(modified_utility_deriv(specs[i], n, q))
-
     q = np.asarray(quantities, dtype=float)
+    if mode == MODE_TRUE:
+        m = _marginal(config.rates, q)
+    else:
+        L = _shading_length(config.n_prosumers, config.d_min)
+        m = _shaded_marginal(config.rates, L, q)
     at_capacity = np.abs(q + config.s_max) <= max(config.tol_root, 1e-7)
-    interior = [marginal(i, q[i]) for i in range(n) if not at_capacity[i]]
-    dual_price = float(np.median(interior)) if interior else max(
-        marginal(i, q[i]) for i in range(n))
-    residuals = np.array([
-        max(0.0, marginal(i, q[i]) - dual_price) if at_capacity[i]
-        else abs(marginal(i, q[i]) - dual_price)
-        for i in range(n)
-    ])
+    interior = m[~at_capacity]
+    dual_price = float(np.median(interior) if interior.size else np.max(m))
+    residuals = np.where(at_capacity, np.maximum(0.0, m - dual_price),
+                         np.abs(m - dual_price))
     return Allocation(q, dual_price, residuals, at_capacity)

@@ -38,8 +38,9 @@ import numpy as np
 from scipy.special import lambertw
 
 from .errors import BracketFailure, DomainError
-from .market import (_EXP_CLAMP, Allocation, MarketConfig, _safe_exp,
-                     _warn_saturated)
+from .market import (_EXP_CLAMP, Allocation, MarketConfig, _marginal,
+                     _shaded_marginal, _shaded_utility, _shaded_curvature,
+                     _shading_length, _utility, _warn_saturated)
 
 MODE_TRUE = "true"
 MODE_MODIFIED = "modified"
@@ -84,46 +85,6 @@ class SolveResult:
     @property
     def quantities(self) -> np.ndarray:
         return self.allocation.quantities
-
-
-# Array kernels over prosumers. Exponents are clamped at +700 like the
-# utility kernel's, without warning: solve_dual warns once per solve.
-
-def _exp_neg(r, q):
-    return np.exp(np.minimum(-r * q, _EXP_CLAMP))
-
-
-def _marginal(config: MarketConfig, q):
-    """True marginal S'(q) = r*exp(-r*q), per prosumer."""
-    r = config.rates
-    return r * _exp_neg(r, q)
-
-
-def _shading_length(config: MarketConfig) -> float:
-    return (config.n_prosumers - 1) * config.d_min
-
-
-def _shaded_marginal(config: MarketConfig, q, mask=slice(None)):
-    """S_mod'(q) = (1 + q/L) * S'(q), per prosumer (or the masked subset)."""
-    r = config.rates[mask]
-    return (1.0 + q / _shading_length(config)) * (r * _exp_neg(r, q))
-
-
-def _shaded_curvature(config: MarketConfig, q, mask=slice(None)):
-    """S_mod''(q) = (1 + q/L) * S''(q) + S'(q)/L; positive off the concave region."""
-    r, L = config.rates[mask], _shading_length(config)
-    e = _exp_neg(r, q)
-    return (1.0 + q / L) * (-r ** 2 * e) + (r * e) / L
-
-
-def _shaded_utility(config: MarketConfig, q, mask=slice(None)):
-    """S_mod(q) = (1 + q/L) * S(q) - (A(q) - A(d_min))/L, A = antiderivative of S."""
-    r, offset = config.rates[mask], config.offsets[mask]
-    L = _shading_length(config)
-    e = _exp_neg(r, q)
-    integral = (offset * q + e / r) - (offset * config.d_min
-                                       + _exp_neg(r, config.d_min) / r)
-    return (1.0 + q / L) * (offset - e) - integral / L
 
 
 def _shaded_root(r, L: float, eta: float, branch: int) -> np.ndarray:
@@ -180,29 +141,31 @@ def marginal_inverse_modified(config: MarketConfig,
     if eta <= 0:
         raise DomainError(f"eta must be positive, got {eta}")
     lo, hi = -config.s_max, config.q_upper
-    r, L = config.rates, _shading_length(config)
+    r, L = config.rates, _shading_length(config.n_prosumers, config.d_min)
     q = np.clip(_shaded_root(r, L, eta, -1), lo, hi)
     flags = np.zeros(config.n_prosumers, dtype=bool)
     nc = config.concavity_thresholds > lo
     if not nc.any():
         return q, flags
 
+    r_nc = r[nc]
     peak = np.minimum(config.concavity_thresholds[nc], hi)
     lo_nc, hi_nc = np.full(peak.shape, lo), np.full(peak.shape, hi)
-    fall_ok = eta <= _shaded_marginal(config, peak, nc)
-    fall = np.where(eta <= _shaded_marginal(config, hi_nc, nc), hi,
+    fall_ok = eta <= _shaded_marginal(r_nc, L, peak, warn=False)
+    fall = np.where(eta <= _shaded_marginal(r_nc, L, hi_nc, warn=False), hi,
                     np.clip(q[nc], peak, hi))
     rise_ok = (fall_ok & (peak > lo)
-               & (_shaded_marginal(config, lo_nc, nc) <= eta))
-    rise = np.clip(_shaded_root(r[nc], L, eta, 0), lo, peak)
+               & (_shaded_marginal(r_nc, L, lo_nc, warn=False) <= eta))
+    rise = np.clip(_shaded_root(r_nc, L, eta, 0), lo, peak)
     # candidates in increasing q, so the last of the maxima is the larger q
     cands = np.stack([lo_nc, rise, fall])
-    vals = _shaded_utility(config, cands, nc) - eta * cands
+    vals = (_shaded_utility(r_nc, config.offsets[nc], L, config.d_min, cands,
+                            warn=False) - eta * cands)
     vals[1, ~rise_ok] = -np.inf
     vals[2, ~fall_ok] = -np.inf
     best = 2 - np.argmax(vals[::-1], axis=0)
     q[nc] = cands[best, np.arange(best.size)]
-    flags[nc] = _shaded_curvature(config, q[nc], nc) > 0
+    flags[nc] = _shaded_curvature(r_nc, L, q[nc], warn=False) > 0
     return q, flags
 
 
@@ -255,19 +218,24 @@ def solve_dual(config: MarketConfig, mode: str) -> SolveResult:
             qs, flags = marginal_inverse_modified(config, eta)
         return float(qs.sum()), qs, flags
 
-    marginal = _marginal if mode == MODE_TRUE else _shaded_marginal
+    rates, L = config.rates, _shading_length(n, config.d_min)
+
+    def marginal(q):
+        if mode == MODE_TRUE:
+            return _marginal(rates, q, warn=False)
+        return _shaded_marginal(rates, L, q, warn=False)
 
     # closed-form starting bracket: marginals at the interval ends, widened.
     # In the non-concave regime the shaded marginal peaks at the concavity
     # onset, so include that point when it lies inside the interval.
-    hi_marginals = marginal(config, np.full(n, -s_max))
+    hi_marginals = marginal(np.full(n, -s_max))
     if mode == MODE_MODIFIED:
         q_c = config.concavity_thresholds
         inside = (-s_max < q_c) & (q_c < q_upper)
         hi_marginals = np.where(
-            inside, np.maximum(hi_marginals, marginal(config, q_c)),
+            inside, np.maximum(hi_marginals, marginal(q_c)),
             hi_marginals)
-    eta_lo = max(float(np.min(marginal(config, np.full(n, q_upper))))
+    eta_lo = max(float(np.min(marginal(np.full(n, q_upper))))
                  / _BRACKET_WIDEN, 1e-300)
     eta_hi = float(np.max(hi_marginals)) * _BRACKET_WIDEN
 
@@ -287,7 +255,7 @@ def solve_dual(config: MarketConfig, mode: str) -> SolveResult:
         iterations += 1
 
     (total, qs, flags), eta = best
-    m = marginal(config, qs)
+    m = marginal(qs)
     at_capacity = np.abs(qs + s_max) <= config.tol_root
     at_upper = qs >= q_upper - config.tol_root
     residuals = np.where(at_capacity, np.maximum(0.0, m - eta),
@@ -297,7 +265,6 @@ def solve_dual(config: MarketConfig, mode: str) -> SolveResult:
     welfare_true = welfare(config, qs)
     # every evaluation point lies at or above -s_max, so the clamp engaged
     # iff it does there; welfare has already warned if it engaged at qs
-    rates = config.rates
     if (np.max(rates) * s_max > _EXP_CLAMP
             and not np.any(-rates * qs > _EXP_CLAMP)):
         _warn_saturated(stacklevel=2)
@@ -334,4 +301,4 @@ def welfare(config: MarketConfig, quantities) -> float:
     if q.shape != (config.n_prosumers,):
         raise DomainError(
             f"expected {config.n_prosumers} quantities, got shape {q.shape}")
-    return float(np.sum(config.offsets - _safe_exp(-config.rates * q)))
+    return float(np.sum(_utility(config.rates, config.offsets, q)))

@@ -169,6 +169,36 @@ class TestExitCodes:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "rows.csv").exists()
 
+    @pytest.mark.parametrize("key, literal", [
+        ("betas", "Infinity"), ("betas", "NaN"), ("d_min", "NaN"),
+        ("s_max", "Infinity"), ("eps_price", "-Infinity"),
+        ("tol_root", "Infinity"), ("tol_kkt", "NaN"),
+        ("start", "Infinity"), ("stop", "NaN"),
+    ])
+    def test_non_finite_values_rejected(self, tmp_path, capsys, key, literal):
+        payload = {"n_prosumers": 3, "d_min": 1.0, "s_max": 1.0,
+                   "betas": [2.0, 2.5, 3.0], "tolerances": {},
+                   "sweep": {"variable": "s_max", "start": 0.5, "stop": 1.0,
+                             "steps": 3}}
+        value = float(literal)
+        if key == "betas":
+            payload["betas"][1] = value
+        elif key in ("eps_price", "tol_root", "tol_kkt"):
+            payload["tolerances"][key] = value
+        elif key in ("start", "stop"):
+            payload["sweep"][key] = value
+        else:
+            payload[key] = value
+        text = json.dumps(payload)
+        assert literal in text  # the JSON extension literal, not a string
+        path = tmp_path / "non_finite.json"
+        path.write_text(text, encoding="utf-8")
+        for argv in (["solve"], ["sweep", "--out", str(tmp_path / "rows.csv")]):
+            code = cli_main(argv + ["--config", str(path)])
+            assert code == 1
+            assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "rows.csv").exists()
+
     def test_solver_failure_exits_two(self, symmetric_config_path, monkeypatch,
                                       capsys):
         def boom(config, mode):

@@ -1,5 +1,6 @@
 """Tests for the market domain model: bids, clearing, utility curves."""
 
+import math
 import warnings
 
 import numpy as np
@@ -9,20 +10,16 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from prosumer_market import (
-    BidProfile,
     DomainError,
     ExponentialUtility,
     InvalidBids,
     MarketConfig,
     SaturationWarning,
-    UtilitySpec,
     clearing_price,
     modified_utility,
     modified_utility_deriv,
     modified_utility_deriv2,
     quantity_from_bid,
-    utility_deriv,
-    utility_value,
 )
 
 # independently computed with 40-digit arithmetic
@@ -91,28 +88,28 @@ class TestClearingPrice:
 class TestExponentialUtility:
     def test_zero_at_d_min_exactly(self):
         spec = ExponentialUtility(2.5, 4.0)
-        assert utility_value(spec, 4.0) == 0.0
+        assert spec.value(4.0) == 0.0
 
     def test_value_at_zero(self):
         spec = ExponentialUtility(2.5, 4.0)
-        assert utility_value(spec, 0.0) == pytest.approx(
+        assert spec.value(0.0) == pytest.approx(
             S_BETA25_D4_AT0, abs=1e-15)
 
     def test_production_cost_negative(self):
         spec = ExponentialUtility(0.6, 1.0)
-        val = utility_value(spec, -1.0)
+        val = spec.value(-1.0)
         assert val < 0
         assert val == pytest.approx(S_BETA06_D1_ATM1, abs=1e-15)
 
     def test_deriv_value(self):
         spec = ExponentialUtility(2.5, 4.0)
-        assert utility_deriv(spec, 4.0) == pytest.approx(
+        assert spec.deriv(4.0) == pytest.approx(
             SP_BETA25_D4_AT4, abs=1e-15)
 
     @pytest.mark.parametrize("q", [-3.0, -1.0, 0.0, 1.0, 4.0, 25.0])
     def test_deriv_positive_and_matches_finite_difference(self, q):
         spec = ExponentialUtility(2.5, 4.0)
-        d = utility_deriv(spec, q)
+        d = spec.deriv(q)
         assert d > 0
         h = 1e-6
         fd = (spec.value(q + h) - spec.value(q - h)) / (2 * h)
@@ -133,13 +130,6 @@ class TestExponentialUtility:
             fd = (spec.antideriv(q + h) - spec.antideriv(q - h)) / (2 * h)
             assert fd == pytest.approx(spec.value(q), abs=1e-8)
 
-    def test_deriv_inverse(self):
-        spec = ExponentialUtility(1.7, 3.0)
-        for q in (-2.0, 0.0, 5.0):
-            assert spec.deriv_inverse(spec.deriv(q)) == pytest.approx(q, abs=1e-12)
-        with pytest.raises(DomainError):
-            spec.deriv_inverse(0.0)
-
     def test_overflow_guard_warns_and_saturates(self):
         spec = ExponentialUtility(2.0, 1.0)
         # exponent -beta*q/(5*d_min) exceeds +700 for q < -1750
@@ -156,6 +146,8 @@ class TestExponentialUtility:
             ExponentialUtility(0.0, 1.0)
         with pytest.raises(DomainError):
             ExponentialUtility(1.0, -1.0)
+        with pytest.raises(DomainError):
+            ExponentialUtility(math.inf, 1.0)
 
 
 class TestModifiedUtility:
@@ -177,25 +169,8 @@ class TestModifiedUtility:
         hi = modified_utility(spec, 11, 4.0 + 1e-9)
         assert abs(lo - hi) < 1e-7
 
-    def test_quadrature_fallback_matches_closed_form(self):
-        class NoAntideriv(ExponentialUtility):
-            def antideriv(self, q):
-                raise NotImplementedError
-
-        exact = ExponentialUtility(1.2, 2.0)
-        fallback = NoAntideriv(1.2, 2.0)
-        assert not fallback.has_antideriv()
-        for q in (-1.5, 0.0, 2.0, 7.5):
-            a = modified_utility(exact, 5, q)
-            b = modified_utility(fallback, 5, q)
-            c = modified_utility(exact, 5, q, method="quadrature")
-            assert b == pytest.approx(a, abs=1e-9)
-            assert c == pytest.approx(a, abs=1e-9)
-
     def test_method_validation(self):
         spec = ExponentialUtility(1.0, 1.0)
-        with pytest.raises(DomainError):
-            modified_utility(spec, 5, 0.0, method="exact")
         with pytest.raises(DomainError):
             modified_utility(spec, 1, 0.0)
 
@@ -221,7 +196,7 @@ class TestModifiedUtility:
         # steepened-concavity region: the shaded marginal falls with q there
         spec = ExponentialUtility(0.6, 1.0)
         n = 11
-        q_c = spec.modified_concavity_threshold(n)
+        q_c = MarketConfig(n, 1.0, 1.0, (0.6,) * n).concavity_thresholds[0]
         assert q_c == pytest.approx(5.0 / 0.6 - 10.0, rel=1e-15)
         grid = np.linspace(q_c, q_c + 40.0, 300)
         md = modified_utility_deriv(spec, n, grid)
@@ -240,19 +215,13 @@ class TestModifiedUtility:
     @example(beta=1.0, d_min=1.0, n=2, offsets=(0.30000000000000004, 0.3))
     def test_ordered_pairs_on_concave_region(self, beta, d_min, n, offsets):
         spec = ExponentialUtility(beta, d_min)
-        q_c = spec.modified_concavity_threshold(n)
+        q_c = MarketConfig(n, d_min, 1.0, (beta,) * n).concavity_thresholds[0]
         a, b = sorted(offsets)
         lo, hi = q_c + a, q_c + b
         if lo == hi:
             return
         assert modified_utility_deriv(spec, n, hi) < modified_utility_deriv(
             spec, n, lo)
-
-    def test_generic_threshold_matches_closed_form(self):
-        spec = ExponentialUtility(2.5, 4.0)
-        generic = UtilitySpec.modified_concavity_threshold(spec, 11)
-        assert generic == pytest.approx(
-            spec.modified_concavity_threshold(11), abs=1e-9)
 
 
 class TestMarketConfig:
@@ -283,14 +252,11 @@ class TestMarketConfig:
             MarketConfig(3, 1.0, 1.0, (1.0, 2.0))
 
 
-class TestBidProfile:
-    def test_from_thetas(self):
-        profile = BidProfile.from_thetas([-1.0, -1.0], d_min=1.0)
-        assert profile.price == 1.0
-        np.testing.assert_allclose(profile.quantities, [0.0, 0.0])
-        assert abs(profile.quantities.sum()) < 1e-12
-
-    def test_immutable_arrays(self):
-        profile = BidProfile.from_thetas([-1.0, -1.0], d_min=1.0)
-        with pytest.raises(ValueError):
-            profile.thetas[0] = 5.0
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["d_min", "s_max", "betas", "eps_price",
+                                       "tol_root", "tol_kkt"])
+    def test_rejects_non_finite(self, field, value):
+        kwargs = dict(n_prosumers=2, d_min=1.0, s_max=1.0, betas=(2.0, 3.0))
+        kwargs[field] = (2.0, value) if field == "betas" else value
+        with pytest.raises(DomainError, match="finite"):
+            MarketConfig(**kwargs)

@@ -1,5 +1,7 @@
 """Tests for the independent verifiers: best response and grid search."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from prosumer_market import (
     MODE_MODIFIED,
     MODE_TRUE,
     MarketConfig,
+    SaturationWarning,
     TooLarge,
     UnboundedPayoff,
     best_response,
@@ -113,8 +116,7 @@ class TestBruteForce:
     def test_agrees_with_dual_n3_both_modes_concave(self):
         cfg = MarketConfig(3, 2.0, 0.6, (3.5, 4.0, 5.5))
         # concave regime: capacity bound sits above every concavity onset
-        assert all(u.modified_concavity_threshold(3) <= -cfg.s_max
-                   for u in cfg.utilities())
+        assert np.all(cfg.concavity_thresholds <= -cfg.s_max)
         for mode in (MODE_TRUE, MODE_MODIFIED):
             dual = solve_dual(cfg, mode)
             grid = brute_force_program(cfg, mode)
@@ -141,3 +143,12 @@ class TestBruteForce:
         cfg = MarketConfig(2, 1.0, 1.0, (2.0, 2.0))
         with pytest.raises(DomainError):
             brute_force_program(cfg, "nash")
+
+    @pytest.mark.parametrize("mode", [MODE_TRUE, MODE_MODIFIED])
+    def test_saturation_warns(self, mode):
+        # r*s_max = 800 > 700: the grid reaches the exponent clamp
+        cfg = MarketConfig(2, 1.0, 4.0, (1000.0, 1000.0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            brute_force_program(cfg, mode, grid_points=1000)
+        assert any(issubclass(w.category, SaturationWarning) for w in caught)

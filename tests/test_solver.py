@@ -223,7 +223,7 @@ class TestSolveDual:
         # the concave regime is required for the modified program to share
         # the symmetric optimum: -s_max must sit above the concavity onset
         cfg = symmetric_config(n=5, beta=2.0, d_min=2.0, s_max=1.0)
-        assert cfg.utilities()[0].modified_concavity_threshold(5) <= -cfg.s_max
+        assert np.all(cfg.concavity_thresholds <= -cfg.s_max)
         a = solve_dual(cfg, MODE_TRUE)
         b = solve_dual(cfg, MODE_MODIFIED)
         assert a.price == pytest.approx(b.price, abs=1e-9)
