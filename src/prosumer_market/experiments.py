@@ -42,6 +42,9 @@ CSV_HEADER = ("param_value,total_param,welfare_competitive,welfare_nash,"
 PANELS = ("capacity_bounded", "capacity_unbounded",
           "demand_bounded", "demand_unbounded")
 
+# a sweep point is a paired solve; the case study uses 30 points per panel
+MAX_SWEEP_STEPS = 100_000
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -64,6 +67,9 @@ class SweepSpec:
                 f"variable must be one of {SWEEP_VARIABLES}, got {self.variable!r}")
         if self.steps < 2:
             raise DomainError(f"steps must be at least 2, got {self.steps}")
+        if self.steps > MAX_SWEEP_STEPS:
+            raise DomainError(
+                f"steps must be at most {MAX_SWEEP_STEPS}, got {self.steps}")
         if not all(map(math.isfinite, (self.start, self.stop))):
             raise DomainError("start and stop must be finite")
         if self.start == self.stop:

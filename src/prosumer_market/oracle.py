@@ -28,6 +28,8 @@ from .market import (Allocation, MarketConfig, _marginal, _shaded_marginal,
 from .solver import MODE_TRUE, MODES
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# a best-response grid of this many points takes about 80 MB per array
+MAX_GRID_POINTS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -119,8 +121,12 @@ def best_response(i: int, thetas, config: MarketConfig,
     result's gap is measured against. The search interval is
     [theta_lb, -(sum of rival bids) - eps_price], with theta_lb the
     capacity bound at the interval's own price fixed point. A dense grid
-    locates the global basin; golden section sharpens it.
+    locates the global basin; golden section sharpens it. Raises TooLarge
+    for more than MAX_GRID_POINTS grid points.
     """
+    if grid_points > MAX_GRID_POINTS:
+        raise TooLarge(f"best response supports at most {MAX_GRID_POINTS} "
+                       f"grid points, got {grid_points}")
     t = np.asarray(thetas, dtype=float)
     if t.shape != (config.n_prosumers,):
         raise DomainError(

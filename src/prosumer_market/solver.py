@@ -10,20 +10,27 @@ balanced, capacity-bounded set {q : sum q_i = 0, q_i >= -s_max}:
 
 The balance constraint is priced by a single multiplier eta > 0. For each
 eta every prosumer independently maximizes its Lagrangian S(q) - eta*q over
-[-s_max, q_upper]; the solver bisects eta until aggregate excess demand
-sum_i q_i(eta) crosses zero. The per-prosumer maximizers are closed-form and
+[-s_max, q_upper], and the solver searches eta for the zero of aggregate
+excess demand sum_i q_i(eta). The per-prosumer maximizers are closed-form and
 computed for all prosumers at once. With r = beta/(5*d_min) the true
 marginal r*exp(-r*q) = eta inverts by a logarithm; the shaded marginal
 (1 + q/L)*r*exp(-r*q) = eta, L = (N-1)*d_min, becomes u*exp(-u) = z with
 u = r*(q + L) and z = eta*L*exp(-r*L), whose falling root u >= 1 is
 -W_{-1}(-z) and whose rising root u <= 1 is -W_0(-z) (Lambert W; Corless et
 al., Adv. Comput. Math. 1996). The branch point u = 1 is the eq21
-threshold. Where the shaded curve is not concave over the whole interval,
+threshold.
+
+Where excess demand is smooth (the true program, or every shaded curve
+concave on the whole interval) it is continuous and decreasing in
+x = ln(eta), with slope -sum 1/r_i (true) or sum eta/S_mod''(q_i) (shaded)
+over the prosumers strictly inside their bounds, and the solver runs a
+safeguarded Newton search in x (Palomar & Chiang, IEEE JSAC 2006, for the
+decomposition). Where a shaded curve is not concave over the whole interval,
 the Lagrangian is compared at the capacity bound and at both stationary
 points (or q_upper), the best candidate wins and the prosumer is flagged
 when the shaded curve is locally convex there. Excess demand can then jump,
-in which case the solver returns the eta minimizing |excess| and records
-the residual.
+so the solver bisects eta in linear space and returns the eta minimizing
+|excess| with its residual.
 
 Recovered bids theta_i = eta*(q_i - d_min) reproduce eta as the clearing
 price of the recovered profile.
@@ -32,6 +39,7 @@ price of the recovered profile.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +58,15 @@ MODES = (MODE_TRUE, MODE_MODIFIED)
 _BRACKET_WIDEN = 10.0
 # relative eta tolerance for the dual bisection
 _ETA_RTOL = 1e-12
+# cap on the excess evaluations of either dual search
+_MAX_STEPS = 200
+# the Newton search stops once |sum q| is within this multiple of
+# sum |q_i|, the rounding floor of the sum
+_SUM_ROUNDING = 8.0 * sys.float_info.epsilon
+# a Newton step in ln(eta) below this is confirmed by one more evaluation
+_NEWTON_XTOL = 1e-13
+# largest finite ln(eta); stands in for an infinite upper bracket end
+_LOG_ETA_MAX = math.log(sys.float_info.max)
 # below this distance p from the branch point the roots come from its series
 # (truncation error below 1e-22); scipy's W_{-1} is inexact there
 _SERIES_P = 1e-3
@@ -192,17 +209,85 @@ def _find_bracket(excess, eta_lo, eta_hi):
     return eta_lo, eta_hi, e_lo, e_hi
 
 
+def _bisect(excess, lo, hi, best):
+    """Bisect eta in linear space; excess demand may jump across the root.
+
+    best is the (excess evaluation, eta) pair of least |excess| so far.
+    Returns the final best pair and the number of excess evaluations.
+    """
+    iterations = 0
+    while hi - lo > _ETA_RTOL * hi and iterations < _MAX_STEPS:
+        mid = 0.5 * (lo + hi)
+        e_mid = excess(mid)
+        if abs(e_mid[0]) < abs(best[0][0]):
+            best = (e_mid, mid)
+        if e_mid[0] >= 0:
+            lo = mid
+        else:
+            hi = mid
+        iterations += 1
+    return best, iterations
+
+
+def _newton_log(excess, slope, lo, hi, x0, best):
+    """Safeguarded Newton search for the zero of smooth excess demand.
+
+    The search runs in x = ln(eta) on the sign bracket [ln lo, ln hi], where
+    excess demand is continuous and decreasing; slope(eta, qs) is its
+    derivative in x. An infinite upper end stands at the largest finite
+    ln(eta). The search starts at x0 when x0 lies inside the bracket, and a
+    Newton step that would leave the bracket gives way to its midpoint. It
+    stops when |sum q| reaches the rounding floor of the sum, or after a
+    Newton step below _NEWTON_XTOL: one evaluation later when the step
+    stays inside the bracket, at once when it lands on an end. Returns the
+    (excess evaluation, eta) pair of least |excess| seen, best included,
+    and the number of excess evaluations.
+    """
+    a, b = math.log(lo), min(math.log(hi), _LOG_ETA_MAX)
+    x = x0 if a < x0 < b else 0.5 * (a + b)
+    last, iterations = False, 0
+    while iterations < _MAX_STEPS:
+        eta = math.exp(x)
+        e = excess(eta)
+        iterations += 1
+        total, qs = e[0], e[1]
+        if abs(total) < abs(best[0][0]):
+            best = (e, eta)
+        if last or abs(total) <= _SUM_ROUNDING * float(np.abs(qs).sum()):
+            break
+        if total > 0:
+            a = x
+        else:
+            b = x
+        d = slope(eta, qs)
+        step = -total / d if d < 0 and math.isfinite(d) else math.nan
+        if a < x + step < b:
+            last = abs(step) < _NEWTON_XTOL
+            x += step
+        elif abs(step) < _NEWTON_XTOL:
+            # x is an end of the bracket now: the step rounds onto it or
+            # crosses it by less than the tolerance
+            break
+        else:
+            x = 0.5 * (a + b)
+    return best, iterations
+
+
 def solve_dual(config: MarketConfig, mode: str) -> SolveResult:
-    """Solve one welfare program by bisection on the balance multiplier.
+    """Solve one welfare program by a dual search on the balance multiplier.
 
     Returns the allocation with its stationarity residuals, the recovered
     bids theta_i = eta*(q_i - d_min), and the true welfare sum_i S_i(q_i)
     (evaluated with the actual curves in both modes). converged reports
-    whether |sum q_i| reached tol_root; in the modified mode's non-concave
-    regime the argmax can jump across the balance point, in which case the
-    best available eta is returned, the residual recorded, and the affected
-    prosumers listed in non_concave_prosumers. Emits one SaturationWarning
-    when the exponent clamp engages anywhere in the solve.
+    whether |sum q_i| reached tol_root. Smooth excess demand (the true
+    mode, or no shaded curve convex anywhere above -s_max) is solved by a
+    safeguarded Newton search in ln(eta) from the all-free competitive
+    price; otherwise eta is bisected. iterations counts the excess
+    evaluations after the starting bracket is found. In the modified mode's
+    non-concave regime the argmax can jump across the balance point, in
+    which case the best available eta is returned, the residual recorded,
+    and the affected prosumers listed in non_concave_prosumers. Emits one
+    SaturationWarning when the exponent clamp engages anywhere in the solve.
     """
     if mode not in MODES:
         raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
@@ -219,40 +304,46 @@ def solve_dual(config: MarketConfig, mode: str) -> SolveResult:
         return float(qs.sum()), qs, flags
 
     rates, L = config.rates, _shading_length(n, config.d_min)
+    inv_rates = 1.0 / rates
 
     def marginal(q):
         if mode == MODE_TRUE:
             return _marginal(rates, q, warn=False)
         return _shaded_marginal(rates, L, q, warn=False)
 
+    def slope(eta, qs):
+        """d(sum q)/d(ln eta) over the prosumers strictly inside the bounds."""
+        free = (qs > -s_max) & (qs < q_upper)
+        if mode == MODE_TRUE:
+            return -float(np.sum(inv_rates[free]))
+        with np.errstate(divide="ignore"):
+            return eta * float(np.sum(1.0 / _shaded_curvature(
+                rates[free], L, qs[free], warn=False)))
+
     # closed-form starting bracket: marginals at the interval ends, widened.
     # In the non-concave regime the shaded marginal peaks at the concavity
     # onset, so include that point when it lies inside the interval.
     hi_marginals = marginal(np.full(n, -s_max))
+    smooth = True
     if mode == MODE_MODIFIED:
         q_c = config.concavity_thresholds
         inside = (-s_max < q_c) & (q_c < q_upper)
         hi_marginals = np.where(
             inside, np.maximum(hi_marginals, marginal(q_c)),
             hi_marginals)
+        smooth = not np.any(q_c > -s_max)
     eta_lo = max(float(np.min(marginal(np.full(n, q_upper))))
                  / _BRACKET_WIDEN, 1e-300)
     eta_hi = float(np.max(hi_marginals)) * _BRACKET_WIDEN
 
     lo, hi, e_lo, e_hi = _find_bracket(excess, eta_lo, eta_hi)
     best = min((e_lo, lo), (e_hi, hi), key=lambda c: abs(c[0][0]))
-
-    iterations = 0
-    while hi - lo > _ETA_RTOL * hi and iterations < 200:
-        mid = 0.5 * (lo + hi)
-        e_mid = excess(mid)
-        if abs(e_mid[0]) < abs(best[0][0]):
-            best = (e_mid, mid)
-        if e_mid[0] >= 0:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
+    if smooth:
+        # the competitive price with every prosumer strictly inside
+        x0 = float(np.dot(np.log(rates), inv_rates) / inv_rates.sum())
+        best, iterations = _newton_log(excess, slope, lo, hi, x0, best)
+    else:
+        best, iterations = _bisect(excess, lo, hi, best)
 
     (total, qs, flags), eta = best
     m = marginal(qs)

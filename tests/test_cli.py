@@ -169,6 +169,25 @@ class TestExitCodes:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "rows.csv").exists()
 
+    def test_sweep_steps_cap(self, tmp_path, capsys):
+        payload = {"n_prosumers": 2, "d_min": 1.0, "s_max": 1.0,
+                   "betas": [2.0, 2.0],
+                   "sweep": {"variable": "s_max", "start": 0.5, "stop": 1.0,
+                             "steps": 100_001}}
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code = cli_main(["sweep", "--config", str(path),
+                         "--out", str(tmp_path / "rows.csv")])
+        assert code == 1
+        assert "steps must be at most" in capsys.readouterr().err
+        assert not (tmp_path / "rows.csv").exists()
+
+    def test_verify_grid_cap(self, symmetric_config_path, capsys):
+        code = cli_main(["verify", "--config", str(symmetric_config_path),
+                         "--grid", "10000001"])
+        assert code == 1
+        assert "grid points" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key, literal", [
         ("betas", "Infinity"), ("betas", "NaN"), ("d_min", "NaN"),
         ("s_max", "Infinity"), ("eps_price", "-Infinity"),

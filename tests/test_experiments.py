@@ -230,6 +230,17 @@ class TestLoadConfigFile:
         with pytest.raises(ConfigError, match=key):
             load_config_file(self.write(tmp_path, payload))
 
+    def test_steps_cap(self, tmp_path):
+        base = MarketConfig(3, 1.0, 1.0, (2.0, 2.5, 3.0))
+        assert SweepSpec("s_max", 0.1, 0.6, 100_000, base).steps == 100_000
+        with pytest.raises(DomainError, match="at most 100000"):
+            SweepSpec("s_max", 0.1, 0.6, 100_001, base)
+        payload = self.base_payload()
+        payload["sweep"] = {"variable": "s_max", "start": 0.1, "stop": 0.6,
+                            "steps": 10**9}
+        with pytest.raises(ConfigError, match="steps must be at most"):
+            load_config_file(self.write(tmp_path, payload))
+
     @pytest.mark.parametrize("key, value", [
         ("steps", 2.7), ("steps", True), ("steps", "4"), ("start", "0.1"),
     ], ids=["steps-fractional", "steps-bool", "steps-string", "start-string"])

@@ -99,6 +99,13 @@ class TestBestResponse:
         with pytest.raises(UnboundedPayoff):
             best_response(0, np.array([-1.0, 0.0]), cfg)
 
+    def test_best_response_grid_cap(self):
+        cfg = MarketConfig(2, 1.0, 0.3, (12.0, 12.0))
+        thetas = solve_dual(cfg, MODE_MODIFIED).thetas
+        with pytest.raises(TooLarge, match="grid points"):
+            best_response(0, thetas, cfg, grid_points=10_000_001)
+        assert best_response(0, thetas, cfg, grid_points=1000).gap <= 1e-6
+
 
 class TestBruteForce:
     def test_symmetric_n2_is_zero(self):

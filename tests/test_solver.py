@@ -1,11 +1,13 @@
 """Tests for the dual-decomposition equilibrium solver."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.special import lambertw
 
 from prosumer_market import (
     Allocation,
@@ -13,8 +15,10 @@ from prosumer_market import (
     MarketConfig,
     MODE_MODIFIED,
     MODE_TRUE,
+    PANELS,
     SaturationWarning,
     brute_force_program,
+    case_study_spec,
     check_eq21,
     clearing_price,
     marginal_inverse_modified,
@@ -335,9 +339,114 @@ class TestSolveDual:
         with pytest.raises(DomainError):
             solve_dual(symmetric_config(n=2), "competitive")
 
-    def test_iterations_reported(self):
-        res = solve_dual(symmetric_config(), MODE_TRUE)
-        assert res.iterations > 10
+    def test_smooth_solves_take_few_iterations(self):
+        # smooth solves search ln(eta) by Newton steps, so few evaluations
+        assert solve_dual(symmetric_config(), MODE_TRUE).iterations >= 1
+        for panel in PANELS:
+            spec = case_study_spec(panel, steps=30)
+            for value in spec.values():
+                cfg = spec.config_at(float(value))
+                modes = [MODE_TRUE]
+                if not np.any(cfg.concavity_thresholds > -cfg.s_max):
+                    modes.append(MODE_MODIFIED)
+                for mode in modes:
+                    assert solve_dual(cfg, mode).iterations <= 12, (
+                        panel, value, mode)
+
+    @pytest.mark.parametrize("mode", [MODE_TRUE, MODE_MODIFIED])
+    @pytest.mark.parametrize("beta", [1e3, 1e4])
+    def test_steep_betas_converge(self, beta, mode):
+        # the starting bracket spans hundreds of decades of eta
+        cfg = MarketConfig(3, 1.0, 1.0, (beta,) * 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SaturationWarning)
+            res = solve_dual(cfg, mode)
+        assert res.converged
+        assert res.price == pytest.approx(beta / 5.0, rel=1e-12)
+
+    @pytest.mark.parametrize("mode, cfg", [
+        (MODE_TRUE, MarketConfig(3, 1.0, 1.0, (1e4, 0.05, 5.0))),
+        (MODE_MODIFIED, MarketConfig(3, 5.0, 0.5, (1e5, 5.0, 10.0))),
+    ], ids=["true", "modified"])
+    def test_infinite_bracket_top(self, mode, cfg):
+        # the marginal at -s_max overflows, so the bracket top is inf; from
+        # the start only the steep prosumer is free and its flat slope asks
+        # for a Newton step past the largest finite ln(eta)
+        if mode == MODE_MODIFIED:
+            assert not np.any(cfg.concavity_thresholds > -cfg.s_max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SaturationWarning)
+            res = solve_dual(cfg, mode)
+        assert res.converged
+        # the free prosumers' marginals, written apart from the package,
+        # meet the price; rounding q to eps*L moves the steep marginal by
+        # about r*L*eps = 9e-12
+        q = res.allocation.quantities
+        free = (q > -cfg.s_max) & (q < cfg.q_upper)
+        r = np.asarray(cfg.betas)[free] / (5.0 * cfg.d_min)
+        marginal = r * np.exp(-r * q[free])
+        if mode == MODE_MODIFIED:
+            marginal *= 1.0 + q[free] / ((cfg.n_prosumers - 1) * cfg.d_min)
+        assert free.sum() == 2
+        np.testing.assert_allclose(marginal, res.price, rtol=1e-10)
+
+
+def _random_concave_market(rng):
+    """A market whose shaded curves are all concave above -s_max."""
+    n = int(rng.integers(2, 41))
+    d_min = float(rng.uniform(0.2, 3.0))
+    beta_lo = max(0.5, 6.0 / (n - 1))
+    betas = rng.uniform(beta_lo, beta_lo + 4.0, n)
+    room = (n - 1) * d_min - 5.0 * d_min / betas.min()
+    r_max = betas.max() / (5.0 * d_min)
+    # r*q_upper at most 300, so exp(-r*q_upper) stays far from underflow
+    s_max = float(min(rng.uniform(0.05, 0.9) * room,
+                      300.0 / (r_max * (n - 1))))
+    return MarketConfig(n, d_min, s_max, tuple(betas))
+
+
+def _reference_quantities(cfg, mode, x):
+    """Per-prosumer maximizers at eta = exp(x), written apart from the package."""
+    r = np.asarray(cfg.betas) / (5.0 * cfg.d_min)
+    if mode == MODE_TRUE:
+        q = (np.log(r) - x) / r
+    else:
+        L = (cfg.n_prosumers - 1) * cfg.d_min
+        z = np.exp(x + math.log(L) - r * L)
+        q = -lambertw(-z, -1).real / r - L
+    return np.clip(q, -cfg.s_max, cfg.q_upper)
+
+
+class TestAgainstLogBrentq:
+    """solve_dual against an independent balance root in ln(eta)."""
+
+    @pytest.mark.parametrize("mode", [MODE_TRUE, MODE_MODIFIED])
+    def test_random_concave_markets(self, mode):
+        rng = np.random.default_rng([7, mode == MODE_TRUE])
+        interior_seen = 0
+        for _ in range(200):
+            cfg = _random_concave_market(rng)
+            assert not np.any(cfg.concavity_thresholds > -cfg.s_max)
+            r = np.asarray(cfg.betas) / (5.0 * cfg.d_min)
+            # every prosumer at q_upper below x_lo and at -s_max above x_hi
+            x_lo = float(np.min(np.log(r) - r * cfg.q_upper)) - 1.0
+            x_hi = float(np.max(np.log(r) + r * cfg.s_max)) + 1.0
+            x = brentq(lambda t: float(_reference_quantities(cfg, mode, t).sum()),
+                       x_lo, x_hi, xtol=1e-15, rtol=4 * np.finfo(float).eps,
+                       maxiter=500)
+            res = solve_dual(cfg, mode)
+            q = _reference_quantities(cfg, mode, x)
+            # with every prosumer clipped the price is only fixed to an interval
+            # the evaluation that confirms the last Newton step brings both
+            # errors from about 6e-14 down to about 1e-15
+            if np.any((q > -cfg.s_max) & (q < cfg.q_upper)):
+                interior_seen += 1
+                assert res.price == pytest.approx(math.exp(x), rel=1e-14)
+            assert abs(res.balance_residual) <= (
+                1e-14 * cfg.n_prosumers * max(1.0, cfg.s_max))
+            # 18 (true) and 66 (modified) without the rounding-floor stop
+            assert res.iterations <= 12
+        assert interior_seen >= 150
 
 
 class TestRecoverBids:
