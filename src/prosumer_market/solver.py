@@ -20,17 +20,20 @@ u = r*(q + L) and z = eta*L*exp(-r*L), whose falling root u >= 1 is
 al., Adv. Comput. Math. 1996). The branch point u = 1 is the eq21
 threshold.
 
-Where excess demand is smooth (the true program, or every shaded curve
-concave on the whole interval) it is continuous and decreasing in
-x = ln(eta), with slope -sum 1/r_i (true) or sum eta/S_mod''(q_i) (shaded)
-over the prosumers strictly inside their bounds, and the solver runs a
-safeguarded Newton search in x (Palomar & Chiang, IEEE JSAC 2006, for the
-decomposition). Where a shaded curve is not concave over the whole interval,
-the Lagrangian is compared at the capacity bound and at both stationary
-points (or q_upper), the best candidate wins and the prosumer is flagged
-when the shaded curve is locally convex there. Excess demand can then jump,
-so the solver bisects eta in linear space and returns the eta minimizing
-|excess| with its residual.
+Where a shaded curve is not concave over the whole interval, the Lagrangian
+is compared at the capacity bound and at both stationary points (or
+q_upper), the best candidate wins and the prosumer is flagged when the
+shaded curve is locally convex there. Excess demand, a sum of global
+argmaxes, is then still non-increasing in eta but can jump.
+
+One search serves every mode and regime: a safeguarded Newton search in
+x = ln(eta) (Palomar & Chiang, IEEE JSAC 2006, for the decomposition),
+with slope -sum 1/r_i (true) or sum eta/S_mod''(q_i) (shaded) over the
+prosumers strictly inside their bounds, and the midpoint of its sign
+bracket wherever a Newton step would leave it. Where excess demand is
+smooth it converges in a few evaluations; where it jumps across the
+balance point the bracket closes on the jump, and the solver returns the
+eta minimizing |excess| with its residual.
 
 Recovered bids theta_i = eta*(q_i - d_min) reproduce eta as the clearing
 price of the recovered profile.
@@ -56,9 +59,7 @@ MODES = (MODE_TRUE, MODE_MODIFIED)
 
 # widening factor applied to the closed-form dual bracket
 _BRACKET_WIDEN = 10.0
-# relative eta tolerance for the dual bisection
-_ETA_RTOL = 1e-12
-# cap on the excess evaluations of either dual search
+# cap on the excess evaluations of the dual search
 _MAX_STEPS = 200
 # the Newton search stops once |sum q| is within this multiple of
 # sum |q_i|, the rounding floor of the sum
@@ -209,39 +210,21 @@ def _find_bracket(excess, eta_lo, eta_hi):
     return eta_lo, eta_hi, e_lo, e_hi
 
 
-def _bisect(excess, lo, hi, best):
-    """Bisect eta in linear space; excess demand may jump across the root.
-
-    best is the (excess evaluation, eta) pair of least |excess| so far.
-    Returns the final best pair and the number of excess evaluations.
-    """
-    iterations = 0
-    while hi - lo > _ETA_RTOL * hi and iterations < _MAX_STEPS:
-        mid = 0.5 * (lo + hi)
-        e_mid = excess(mid)
-        if abs(e_mid[0]) < abs(best[0][0]):
-            best = (e_mid, mid)
-        if e_mid[0] >= 0:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
-    return best, iterations
-
-
 def _newton_log(excess, slope, lo, hi, x0, best):
-    """Safeguarded Newton search for the zero of smooth excess demand.
+    """Safeguarded Newton search for the zero of non-increasing excess demand.
 
-    The search runs in x = ln(eta) on the sign bracket [ln lo, ln hi], where
-    excess demand is continuous and decreasing; slope(eta, qs) is its
-    derivative in x. An infinite upper end stands at the largest finite
-    ln(eta). The search starts at x0 when x0 lies inside the bracket, and a
-    Newton step that would leave the bracket gives way to its midpoint. It
-    stops when |sum q| reaches the rounding floor of the sum, or after a
-    Newton step below _NEWTON_XTOL: one evaluation later when the step
-    stays inside the bracket, at once when it lands on an end. Returns the
-    (excess evaluation, eta) pair of least |excess| seen, best included,
-    and the number of excess evaluations.
+    The search runs in x = ln(eta) on the sign bracket [ln lo, ln hi];
+    slope(eta, qs) is the derivative of excess demand in x where it is
+    smooth. An infinite upper end stands at the largest finite ln(eta). The
+    search starts at x0 when x0 lies inside the bracket, and a Newton step
+    that would leave the bracket, or that a non-negative slope forbids,
+    gives way to its midpoint. It stops when |sum q| reaches the rounding
+    floor of the sum; after a Newton step below _NEWTON_XTOL, one
+    evaluation later when the step stays inside the bracket, at once when
+    it lands on an end; or when the bracket's midpoint is no longer inside
+    it, so the bracket has closed on a jump. Returns the (excess
+    evaluation, eta) pair of least |excess| seen, best included, and the
+    number of excess evaluations.
     """
     a, b = math.log(lo), min(math.log(hi), _LOG_ETA_MAX)
     x = x0 if a < x0 < b else 0.5 * (a + b)
@@ -270,6 +253,9 @@ def _newton_log(excess, slope, lo, hi, x0, best):
             break
         else:
             x = 0.5 * (a + b)
+            if not a < x < b:
+                # the bracket has closed on a jump of excess demand
+                break
     return best, iterations
 
 
@@ -279,15 +265,15 @@ def solve_dual(config: MarketConfig, mode: str) -> SolveResult:
     Returns the allocation with its stationarity residuals, the recovered
     bids theta_i = eta*(q_i - d_min), and the true welfare sum_i S_i(q_i)
     (evaluated with the actual curves in both modes). converged reports
-    whether |sum q_i| reached tol_root. Smooth excess demand (the true
-    mode, or no shaded curve convex anywhere above -s_max) is solved by a
-    safeguarded Newton search in ln(eta) from the all-free competitive
-    price; otherwise eta is bisected. iterations counts the excess
-    evaluations after the starting bracket is found. In the modified mode's
-    non-concave regime the argmax can jump across the balance point, in
-    which case the best available eta is returned, the residual recorded,
-    and the affected prosumers listed in non_concave_prosumers. Emits one
-    SaturationWarning when the exponent clamp engages anywhere in the solve.
+    whether |sum q_i| reached tol_root. Every mode and regime is solved by
+    one safeguarded Newton search in ln(eta) from the all-free competitive
+    price; iterations counts the excess evaluations after the starting
+    bracket is found. In the modified mode's non-concave regime the argmax
+    can jump across the balance point; the search then stops once its
+    bracket closes on the jump, the best available eta is returned, the
+    residual recorded, and the affected prosumers listed in
+    non_concave_prosumers. Emits one SaturationWarning when the exponent
+    clamp engages anywhere in the solve.
     """
     if mode not in MODES:
         raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
@@ -320,30 +306,24 @@ def solve_dual(config: MarketConfig, mode: str) -> SolveResult:
             return eta * float(np.sum(1.0 / _shaded_curvature(
                 rates[free], L, qs[free], warn=False)))
 
-    # closed-form starting bracket: marginals at the interval ends, widened.
-    # In the non-concave regime the shaded marginal peaks at the concavity
-    # onset, so include that point when it lies inside the interval.
-    hi_marginals = marginal(np.full(n, -s_max))
-    smooth = True
-    if mode == MODE_MODIFIED:
-        q_c = config.concavity_thresholds
-        inside = (-s_max < q_c) & (q_c < q_upper)
-        hi_marginals = np.where(
-            inside, np.maximum(hi_marginals, marginal(q_c)),
-            hi_marginals)
-        smooth = not np.any(q_c > -s_max)
+    # closed-form starting bracket from the marginals, widened. The top is
+    # the largest marginal on [-s_max, q_upper]: the shaded marginal rises
+    # below the eq21 threshold and falls above it, so it peaks at the
+    # threshold clipped to the interval, where it is positive even when
+    # the marginal at -s_max is not.
+    if mode == MODE_TRUE:
+        q_peak = np.full(n, -s_max)
+    else:
+        q_peak = np.clip(config.concavity_thresholds, -s_max, q_upper)
     eta_lo = max(float(np.min(marginal(np.full(n, q_upper))))
                  / _BRACKET_WIDEN, 1e-300)
-    eta_hi = float(np.max(hi_marginals)) * _BRACKET_WIDEN
+    eta_hi = float(np.max(marginal(q_peak))) * _BRACKET_WIDEN
 
     lo, hi, e_lo, e_hi = _find_bracket(excess, eta_lo, eta_hi)
     best = min((e_lo, lo), (e_hi, hi), key=lambda c: abs(c[0][0]))
-    if smooth:
-        # the competitive price with every prosumer strictly inside
-        x0 = float(np.dot(np.log(rates), inv_rates) / inv_rates.sum())
-        best, iterations = _newton_log(excess, slope, lo, hi, x0, best)
-    else:
-        best, iterations = _bisect(excess, lo, hi, best)
+    # the competitive price with every prosumer strictly inside
+    x0 = float(np.dot(np.log(rates), inv_rates) / inv_rates.sum())
+    best, iterations = _newton_log(excess, slope, lo, hi, x0, best)
 
     (total, qs, flags), eta = best
     m = marginal(qs)

@@ -11,6 +11,7 @@ from scipy.special import lambertw
 
 from prosumer_market import (
     Allocation,
+    BracketFailure,
     DomainError,
     MarketConfig,
     MODE_MODIFIED,
@@ -339,19 +340,24 @@ class TestSolveDual:
         with pytest.raises(DomainError):
             solve_dual(symmetric_config(n=2), "competitive")
 
-    def test_smooth_solves_take_few_iterations(self):
-        # smooth solves search ln(eta) by Newton steps, so few evaluations
+    def test_solves_take_few_iterations(self):
+        # every solve searches ln(eta) by Newton steps, so balanced solves
+        # take few evaluations; the one unbalanced case-study row stops once
+        # its bracket closes on the jump (200 evaluations without that stop)
         assert solve_dual(symmetric_config(), MODE_TRUE).iterations >= 1
+        gap_rows = []
         for panel in PANELS:
             spec = case_study_spec(panel, steps=30)
             for value in spec.values():
                 cfg = spec.config_at(float(value))
-                modes = [MODE_TRUE]
-                if not np.any(cfg.concavity_thresholds > -cfg.s_max):
-                    modes.append(MODE_MODIFIED)
-                for mode in modes:
-                    assert solve_dual(cfg, mode).iterations <= 12, (
-                        panel, value, mode)
+                for mode in (MODE_TRUE, MODE_MODIFIED):
+                    res = solve_dual(cfg, mode)
+                    if res.converged:
+                        assert res.iterations <= 12, (panel, value, mode)
+                    else:
+                        gap_rows.append((panel, float(value), mode))
+                        assert res.iterations <= 64, (panel, value, mode)
+        assert gap_rows == [("capacity_unbounded", 4.5, MODE_MODIFIED)]
 
     @pytest.mark.parametrize("mode", [MODE_TRUE, MODE_MODIFIED])
     @pytest.mark.parametrize("beta", [1e3, 1e4])
@@ -389,6 +395,41 @@ class TestSolveDual:
             marginal *= 1.0 + q[free] / ((cfg.n_prosumers - 1) * cfg.d_min)
         assert free.sum() == 2
         np.testing.assert_allclose(marginal, res.price, rtol=1e-10)
+
+    @pytest.mark.parametrize("cfg", [
+        MarketConfig(2, 1.0, 1.5, (0.5, 0.6)),
+        MarketConfig(3, 0.631, 1.517, (0.3, 0.5, 0.7)),
+    ], ids=["n2", "n3"])
+    def test_negative_bracket_top(self, cfg):
+        # s_max > (N-1)*d_min puts every shaded marginal at -s_max below
+        # zero, and every eq21 threshold lies above q_upper
+        assert np.all(cfg.concavity_thresholds >= cfg.q_upper)
+        res = solve_dual(cfg, MODE_MODIFIED)
+        assert res.converged
+        assert abs(res.balance_residual) <= 1e-14
+        # each q is the global argmax of its shaded Lagrangian
+        grid = np.linspace(-cfg.s_max, cfg.q_upper, 200_001)
+        for spec, q in zip(cfg.utilities(), res.allocation.quantities):
+            n = cfg.n_prosumers
+            lagr = modified_utility(spec, n, grid) - res.price * grid
+            at_q = modified_utility(spec, n, q) - res.price * q
+            assert at_q >= lagr.max() - 1e-12
+
+    def test_non_concave_jump_below_infinite_bracket_top(self):
+        # the bracket top overflows to inf, and prosumer 2's argmax jumps
+        # from q_upper to -s_max across the balance point, so the search
+        # ends where its bracket closes on the jump
+        cfg = MarketConfig(3, 1.0, 1.0, (3e4, 0.1, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SaturationWarning)
+            res = solve_dual(cfg, MODE_MODIFIED)
+            below, _ = marginal_inverse_modified(cfg, res.price * (1 - 1e-9))
+            above, _ = marginal_inverse_modified(cfg, res.price * (1 + 1e-9))
+        assert math.isfinite(res.price)
+        assert not res.converged
+        assert res.balance_residual == res.quantities.sum()
+        assert below.sum() > 0 > above.sum()
+        assert (below[2], above[2]) == (cfg.q_upper, -cfg.s_max)
 
 
 def _random_concave_market(rng):
@@ -449,6 +490,86 @@ class TestAgainstLogBrentq:
         assert interior_seen >= 150
 
 
+def _random_non_concave_market(rng):
+    """A market where some shaded curve is convex somewhere above -s_max."""
+    while True:
+        n = int(rng.integers(2, 12))
+        d_min = float(rng.uniform(0.2, 3.0))
+        s_max = float(rng.uniform(0.05, 2.0) * (n - 1) * d_min)
+        cfg = MarketConfig(n, d_min, s_max, tuple(rng.uniform(0.3, 4.0, n)))
+        if np.any(cfg.concavity_thresholds > -cfg.s_max):
+            return cfg
+
+
+def _bisection_reference(cfg):
+    """Bisect eta in linear space on the modified excess demand.
+
+    The bracket top is the largest shaded marginal on [-s_max, q_upper],
+    written apart from the package, and widened tenfold; its bottom is
+    widened as in _find_bracket. Returns the excess evaluation (sum q, q)
+    of least |sum q|, or None when no bottom with sum q >= 0 is found.
+    """
+    def excess(eta):
+        q, _ = marginal_inverse_modified(cfg, eta)
+        return float(q.sum()), q
+
+    r = np.asarray(cfg.betas) / (5.0 * cfg.d_min)
+    L = (cfg.n_prosumers - 1) * cfg.d_min
+
+    def marginal(q):
+        return (1.0 + q / L) * r * np.exp(-r * q)
+
+    peak = np.clip(cfg.concavity_thresholds, -cfg.s_max, cfg.q_upper)
+    lo = float(np.min(marginal(np.full(r.size, cfg.q_upper)))) / 10.0
+    hi = float(np.max(marginal(peak))) * 10.0
+    e_lo = excess(lo)
+    for _ in range(60):
+        if e_lo[0] >= 0:
+            break
+        lo /= 10.0
+        e_lo = excess(lo)
+    if e_lo[0] < 0:
+        return None
+    best = min(e_lo, excess(hi), key=lambda e: abs(e[0]))
+    for _ in range(200):
+        if hi - lo <= 1e-12 * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        e = excess(mid)
+        if abs(e[0]) < abs(best[0]):
+            best = e
+        if e[0] >= 0:
+            lo = mid
+        else:
+            hi = mid
+    return best
+
+
+class TestAgainstBisection:
+    """solve_dual against a linear-space bisection where excess can jump."""
+
+    def test_random_non_concave_markets(self):
+        rng = np.random.default_rng(11)
+        balanced = gaps = 0
+        for _ in range(200):
+            cfg = _random_non_concave_market(rng)
+            ref = _bisection_reference(cfg)
+            if ref is None:
+                # no eta leaves excess demand non-negative
+                with pytest.raises(BracketFailure):
+                    solve_dual(cfg, MODE_MODIFIED)
+                continue
+            res = solve_dual(cfg, MODE_MODIFIED)
+            assert res.converged == (abs(ref[0]) <= cfg.tol_root)
+            assert abs(res.balance_residual) <= abs(ref[0]) + 1e-12
+            if res.converged:
+                balanced += 1
+                np.testing.assert_allclose(res.quantities, ref[1], atol=1e-9)
+            else:
+                gaps += 1
+        assert balanced >= 100 and gaps >= 20
+
+
 class TestRecoverBids:
     def test_symmetric_bids(self):
         cfg = symmetric_config()
@@ -497,8 +618,6 @@ class TestWelfare:
 
 class TestBracketPlumbing:
     def test_bracket_failure_diagnostics(self):
-        from prosumer_market import BracketFailure
-
         def always_negative(eta):
             return (-1.0, np.zeros(2), ())
 
