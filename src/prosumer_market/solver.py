@@ -20,20 +20,22 @@ u = r*(q + L) and z = eta*L*exp(-r*L), whose falling root u >= 1 is
 al., Adv. Comput. Math. 1996). The branch point u = 1 is the eq21
 threshold.
 
-Where a shaded curve is not concave over the whole interval, the Lagrangian
-is compared at the capacity bound and at both stationary points (or
-q_upper), the best candidate wins and the prosumer is flagged when the
-shaded curve is locally convex there. Excess demand, a sum of global
-argmaxes, is then still non-increasing in eta but can jump.
+Where a shaded curve is not concave over the whole interval, its rising
+stationary point is a local minimum of the Lagrangian, so only the capacity
+bound and the falling root (or q_upper) compete; the better wins, and the
+prosumer is flagged when the shaded curve is locally convex there. Excess
+demand, a sum of global argmaxes, is then still non-increasing in eta but
+can jump.
 
 One search serves every mode and regime: a safeguarded Newton search in
-x = ln(eta) (Palomar & Chiang, IEEE JSAC 2006, for the decomposition),
-with slope -sum 1/r_i (true) or sum eta/S_mod''(q_i) (shaded) over the
-prosumers strictly inside their bounds, and the midpoint of its sign
-bracket wherever a Newton step would leave it. Where excess demand is
-smooth it converges in a few evaluations; where it jumps across the
-balance point the bracket closes on the jump, and the solver returns the
-eta minimizing |excess| with its residual.
+x = ln(eta) (Palomar & Chiang, IEEE JSAC 2006, for the decomposition), with
+slope -sum 1/r_i (true) or sum eta/S_mod''(q_i) (shaded) over the prosumers
+strictly inside their bounds, and the midpoint of its bracket wherever a
+Newton step would leave it. Only a search that does not settle evaluates,
+and widens, the closed-form bracket's ends. Where excess demand is smooth
+it settles in a few evaluations; where it jumps across the balance point
+the bracket closes on the jump, and the solver returns the eta minimizing
+|excess| with its residual.
 
 Recovered bids theta_i = eta*(q_i - d_min) reproduce eta as the clearing
 price of the recovered profile.
@@ -61,8 +63,8 @@ MODES = (MODE_TRUE, MODE_MODIFIED)
 _BRACKET_WIDEN = 10.0
 # cap on the excess evaluations of the dual search
 _MAX_STEPS = 200
-# the Newton search stops once |sum q| is within this multiple of
-# sum |q_i|, the rounding floor of the sum
+# |sum q| within this multiple of sum |q_i|, the rounding floor of the sum,
+# counts as balanced
 _SUM_ROUNDING = 8.0 * sys.float_info.epsilon
 # a Newton step in ln(eta) below this is confirmed by one more evaluation
 _NEWTON_XTOL = 1e-13
@@ -152,9 +154,11 @@ def marginal_inverse_modified(config: MarketConfig,
     where the shaded curve is locally convex. A prosumer whose shaded curve
     is concave on the whole interval (eq21 threshold at or below -s_max)
     takes the falling root, clipped to the bounds. Otherwise the shaded
-    marginal rises then falls, and the candidates are -s_max, the falling
-    root (or q_upper) and the rising root, each where eta reaches it; the
-    best Lagrangian value wins, the larger q on ties.
+    marginal rises then falls. A stationary point on the rising branch is a
+    local minimum of the Lagrangian, so only -s_max competes with the
+    clipped falling root: the root is kept where eta is at most the
+    marginal's peak on the interval and its Lagrangian value is at least
+    the one at -s_max (the larger q on ties), and -s_max is taken otherwise.
     """
     if eta <= 0:
         raise DomainError(f"eta must be positive, got {eta}")
@@ -166,97 +170,86 @@ def marginal_inverse_modified(config: MarketConfig,
     if not nc.any():
         return q, flags
 
-    r_nc = r[nc]
+    r_nc, fall = r[nc], q[nc]
     peak = np.minimum(config.concavity_thresholds[nc], hi)
-    lo_nc, hi_nc = np.full(peak.shape, lo), np.full(peak.shape, hi)
-    fall_ok = eta <= _shaded_marginal(r_nc, L, peak, warn=False)
-    fall = np.where(eta <= _shaded_marginal(r_nc, L, hi_nc, warn=False), hi,
-                    np.clip(q[nc], peak, hi))
-    rise_ok = (fall_ok & (peak > lo)
-               & (_shaded_marginal(r_nc, L, lo_nc, warn=False) <= eta))
-    rise = np.clip(_shaded_root(r_nc, L, eta, 0), lo, peak)
-    # candidates in increasing q, so the last of the maxima is the larger q
-    cands = np.stack([lo_nc, rise, fall])
-    vals = (_shaded_utility(r_nc, config.offsets[nc], L, config.d_min, cands,
-                            warn=False) - eta * cands)
-    vals[1, ~rise_ok] = -np.inf
-    vals[2, ~fall_ok] = -np.inf
-    best = 2 - np.argmax(vals[::-1], axis=0)
-    q[nc] = cands[best, np.arange(best.size)]
+
+    def lagrangian(x):
+        return (_shaded_utility(r_nc, config.offsets[nc], L, config.d_min, x,
+                                warn=False) - eta * x)
+
+    keep = ((eta <= _shaded_marginal(r_nc, L, peak, warn=False))
+            & (lagrangian(fall) >= lagrangian(lo)))
+    q[nc] = np.where(keep, fall, lo)
     flags[nc] = _shaded_curvature(r_nc, L, q[nc], warn=False) > 0
     return q, flags
+
+
+def _floor(e) -> float:
+    """Rounding floor of an excess evaluation's sum: 8*eps*sum |q_i|."""
+    return _SUM_ROUNDING * float(np.abs(e[1]).sum())
 
 
 def _find_bracket(excess, eta_lo, eta_hi):
     """Widen [eta_lo, eta_hi] until excess demand changes sign across it.
 
-    Returns the bracket's ends and the excess evaluations at them.
+    The bottom is widened first, the two ends together at most 60 times. An
+    end whose excess is within its rounding floor counts as balanced.
+    Returns the bracket's ends.
     """
-    e_lo = excess(eta_lo)
-    e_hi = excess(eta_hi)
+    e_lo, e_hi = excess(eta_lo), excess(eta_hi)
     for _ in range(60):
-        if e_lo[0] >= 0:
-            break
-        eta_lo = max(eta_lo / _BRACKET_WIDEN, 1e-320)
-        e_lo = excess(eta_lo)
-    for _ in range(60):
-        if e_hi[0] <= 0:
-            break
-        eta_hi *= _BRACKET_WIDEN
-        e_hi = excess(eta_hi)
-    if e_lo[0] < 0 or e_hi[0] > 0:
-        raise BracketFailure(
-            "no sign change in excess demand", eta_lo, eta_hi, e_lo[0], e_hi[0])
-    return eta_lo, eta_hi, e_lo, e_hi
+        if e_lo[0] < -_floor(e_lo):
+            eta_lo = max(eta_lo / _BRACKET_WIDEN, 1e-320)
+            e_lo = excess(eta_lo)
+        elif e_hi[0] > _floor(e_hi):
+            eta_hi *= _BRACKET_WIDEN
+            e_hi = excess(eta_hi)
+        else:
+            return eta_lo, eta_hi
+    raise BracketFailure(
+        "no sign change in excess demand", eta_lo, eta_hi, e_lo[0], e_hi[0])
 
 
-def _newton_log(excess, slope, lo, hi, x0, best):
+def _newton_log(excess, slope, lo, hi, x0) -> bool:
     """Safeguarded Newton search for the zero of non-increasing excess demand.
 
-    The search runs in x = ln(eta) on the sign bracket [ln lo, ln hi];
-    slope(eta, qs) is the derivative of excess demand in x where it is
-    smooth. An infinite upper end stands at the largest finite ln(eta). The
-    search starts at x0 when x0 lies inside the bracket, and a Newton step
-    that would leave the bracket, or that a non-negative slope forbids,
-    gives way to its midpoint. It stops when |sum q| reaches the rounding
-    floor of the sum; after a Newton step below _NEWTON_XTOL, one
-    evaluation later when the step stays inside the bracket, at once when
-    it lands on an end; or when the bracket's midpoint is no longer inside
-    it, so the bracket has closed on a jump. Returns the (excess
-    evaluation, eta) pair of least |excess| seen, best included, and the
-    number of excess evaluations.
+    The search runs in x = ln(eta) on [ln lo, ln hi], a sign bracket whose
+    ends are not evaluated (an infinite upper end stands at the largest
+    finite ln(eta)); slope(eta, qs) is the derivative of excess demand in x
+    where it is smooth. It starts at x0 when x0 lies inside the bracket, and
+    takes the midpoint where a Newton step would leave the bracket or the
+    slope is not negative. Returns True once it settles: |sum q| within the
+    rounding floor of the sum, or one evaluation after a Newton step below
+    _NEWTON_XTOL inside the bracket. Returns False when such a step lands on
+    an end, when the midpoint is no longer inside the bracket (closed on a
+    jump, or on an unchecked end), or after _MAX_STEPS evaluations.
     """
     a, b = math.log(lo), min(math.log(hi), _LOG_ETA_MAX)
     x = x0 if a < x0 < b else 0.5 * (a + b)
-    last, iterations = False, 0
-    while iterations < _MAX_STEPS:
+    last = False
+    for _ in range(_MAX_STEPS):
         eta = math.exp(x)
         e = excess(eta)
-        iterations += 1
-        total, qs = e[0], e[1]
-        if abs(total) < abs(best[0][0]):
-            best = (e, eta)
-        if last or abs(total) <= _SUM_ROUNDING * float(np.abs(qs).sum()):
-            break
-        if total > 0:
+        if last or abs(e[0]) <= _floor(e):
+            return True
+        if e[0] > 0:
             a = x
         else:
             b = x
-        d = slope(eta, qs)
-        step = -total / d if d < 0 and math.isfinite(d) else math.nan
+        d = slope(eta, e[1])
+        step = -e[0] / d if d < 0 and math.isfinite(d) else math.nan
         if a < x + step < b:
             last = abs(step) < _NEWTON_XTOL
             x += step
         elif abs(step) < _NEWTON_XTOL:
             # x is an end of the bracket now: the step rounds onto it or
             # crosses it by less than the tolerance
-            break
+            return False
         else:
             x = 0.5 * (a + b)
             if not a < x < b:
-                # the bracket has closed on a jump of excess demand
-                break
-    return best, iterations
+                return False
+    return False
 
 
 def solve_dual(config: MarketConfig, mode: str) -> SolveResult:
@@ -267,27 +260,34 @@ def solve_dual(config: MarketConfig, mode: str) -> SolveResult:
     (evaluated with the actual curves in both modes). converged reports
     whether |sum q_i| reached tol_root. Every mode and regime is solved by
     one safeguarded Newton search in ln(eta) from the all-free competitive
-    price; iterations counts the excess evaluations after the starting
-    bracket is found. In the modified mode's non-concave regime the argmax
-    can jump across the balance point; the search then stops once its
-    bracket closes on the jump, the best available eta is returned, the
-    residual recorded, and the affected prosumers listed in
-    non_concave_prosumers. Emits one SaturationWarning when the exponent
-    clamp engages anywhere in the solve.
+    price on the closed-form starting bracket. Only a search that does not
+    settle evaluates the bracket's ends, widens them where their signs are
+    wrong and, if they moved, searches again. iterations counts every
+    excess evaluation, bracket ends included. In the modified mode's
+    non-concave regime the argmax can jump across the balance point; the
+    search then stops once its bracket closes on the jump, the best
+    available eta is returned, the residual recorded, and the affected
+    prosumers listed in non_concave_prosumers. Emits one SaturationWarning
+    when the exponent clamp engages anywhere in the solve.
     """
     if mode not in MODES:
         raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
-    n = config.n_prosumers
-    s_max = config.s_max
-    q_upper = config.q_upper
+    n, s_max, q_upper = config.n_prosumers, config.s_max, config.q_upper
     no_flags = np.zeros(n, dtype=bool)
+    # the first (evaluation, eta) pair of least |sum q|; evaluations made
+    best, iterations = None, 0
 
     def excess(eta):
+        nonlocal best, iterations
+        iterations += 1
         if mode == MODE_TRUE:
             qs, flags = marginal_inverse_true(config, eta), no_flags
         else:
             qs, flags = marginal_inverse_modified(config, eta)
-        return float(qs.sum()), qs, flags
+        e = (float(qs.sum()), qs, flags)
+        if best is None or abs(e[0]) < abs(best[0][0]):
+            best = (e, eta)
+        return e
 
     rates, L = config.rates, _shading_length(n, config.d_min)
     inv_rates = 1.0 / rates
@@ -311,19 +311,18 @@ def solve_dual(config: MarketConfig, mode: str) -> SolveResult:
     # below the eq21 threshold and falls above it, so it peaks at the
     # threshold clipped to the interval, where it is positive even when
     # the marginal at -s_max is not.
-    if mode == MODE_TRUE:
-        q_peak = np.full(n, -s_max)
-    else:
-        q_peak = np.clip(config.concavity_thresholds, -s_max, q_upper)
+    q_peak = (np.full(n, -s_max) if mode == MODE_TRUE
+              else np.clip(config.concavity_thresholds, -s_max, q_upper))
     eta_lo = max(float(np.min(marginal(np.full(n, q_upper))))
                  / _BRACKET_WIDEN, 1e-300)
     eta_hi = float(np.max(marginal(q_peak))) * _BRACKET_WIDEN
 
-    lo, hi, e_lo, e_hi = _find_bracket(excess, eta_lo, eta_hi)
-    best = min((e_lo, lo), (e_hi, hi), key=lambda c: abs(c[0][0]))
     # the competitive price with every prosumer strictly inside
     x0 = float(np.dot(np.log(rates), inv_rates) / inv_rates.sum())
-    best, iterations = _newton_log(excess, slope, lo, hi, x0, best)
+    if not _newton_log(excess, slope, eta_lo, eta_hi, x0):
+        lo, hi = _find_bracket(excess, eta_lo, eta_hi)
+        if (lo, hi) != (eta_lo, eta_hi):
+            _newton_log(excess, slope, lo, hi, x0)
 
     (total, qs, flags), eta = best
     m = marginal(qs)

@@ -31,6 +31,7 @@ from prosumer_market import (
     solve_dual,
     welfare,
 )
+from prosumer_market import solver
 from prosumer_market.solver import _find_bracket, _shaded_root
 
 
@@ -215,6 +216,103 @@ class TestInverseAgainstBrentq:
         assert seen == {"lo", "hi", "interior"}
 
 
+def _shaded_lagrangian(beta, d_min, n, eta, q):
+    """S_mod(q) - eta*q, written apart from the package."""
+    r, L, c = beta / (5.0 * d_min), (n - 1) * d_min, math.exp(-beta / 5.0)
+    q = np.asarray(q, dtype=float)
+    integral = c * (q - d_min) + (np.exp(-r * q) - math.exp(-r * d_min)) / r
+    return (1.0 + q / L) * (c - np.exp(-r * q)) - integral / L - eta * q
+
+
+def _switch_price(beta, d_min, n, lo, peak, hi):
+    """eta at which -s_max and the falling stationary point (or hi) tie.
+
+    Returns None when -s_max wins already 40 e-folds below the peak price.
+    """
+    def falling(eta):
+        if _log_shaded_marginal(beta, d_min, n, hi) >= math.log(eta):
+            return hi
+        if _log_shaded_marginal(beta, d_min, n, peak) <= math.log(eta):
+            return peak
+        return _brentq_root(beta, d_min, n, eta, peak, hi)
+
+    def gap(x):
+        # decreasing in x = ln(eta): its derivative is eta*(lo - falling)
+        eta = math.exp(x)
+        return float(_shaded_lagrangian(beta, d_min, n, eta, falling(eta))
+                     - _shaded_lagrangian(beta, d_min, n, eta, lo))
+
+    x_peak = _log_shaded_marginal(beta, d_min, n, peak)
+    if gap(x_peak - 40.0) <= 0:
+        return None
+    return math.exp(brentq(gap, x_peak - 40.0, x_peak, xtol=1e-15,
+                           rtol=1e-15))
+
+
+class TestTwoCandidateInverse:
+    """Non-concave inversion: -s_max against the clipped falling root."""
+
+    def test_random_markets_match_grid_argmax(self):
+        rng = np.random.default_rng(5)
+        seen = dict.fromkeys(("below_lo", "switch", "above_peak"), 0)
+        for _ in range(10):
+            cfg = _random_non_concave_market(rng)
+            n, d_min = cfg.n_prosumers, cfg.d_min
+            lo, hi, L = -cfg.s_max, cfg.q_upper, (n - 1) * d_min
+            i = int(np.flatnonzero(cfg.concavity_thresholds > lo)[0])
+            beta = cfg.betas[i]
+            peak = min(cfg.concavity_thresholds[i], hi)
+            m_peak = math.exp(_log_shaded_marginal(beta, d_min, n, peak))
+            etas = [("above_peak", 2.0 * m_peak)]
+            if lo > -L:  # the shaded marginal at -s_max is positive
+                m_lo = math.exp(_log_shaded_marginal(beta, d_min, n, lo))
+                etas.append(("below_lo", 0.5 * m_lo))
+            switch = _switch_price(beta, d_min, n, lo, peak, hi)
+            if switch is not None:
+                etas += [("switch", switch * (1.0 - 1e-4)),
+                         ("switch", switch * (1.0 + 1e-4))]
+            grid = np.linspace(lo, hi, 1_000_001)
+            for kind, eta in etas:
+                seen[kind] += 1
+                q, _ = marginal_inverse_modified(cfg, eta)
+                lagr = _shaded_lagrangian(beta, d_min, n, eta, grid)
+                q_star = grid[int(np.argmax(lagr))]
+                assert q[i] == pytest.approx(q_star, abs=grid[1] - grid[0]), (
+                    kind, eta)
+                if kind == "switch":
+                    # -s_max above the switch price, the falling side below
+                    assert (q[i] == lo) == (eta > switch)
+        assert seen["below_lo"] >= 3 and seen["switch"] >= 10
+        assert seen["above_peak"] == 10
+
+    def test_rising_root_never_beats_capacity_bound(self):
+        # on [-s_max, rising root] the shaded marginal stays at most eta, so
+        # the Lagrangian falls there: the rising root is a local minimum. At
+        # the lowest eta the root is -s_max itself, up to rounding.
+        rng = np.random.default_rng(6)
+        checked = 0
+        for _ in range(20):
+            cfg = _random_non_concave_market(rng)
+            n, d_min, lo = cfg.n_prosumers, cfg.d_min, -cfg.s_max
+            L = (n - 1) * d_min
+            for i in np.flatnonzero(cfg.concavity_thresholds > lo):
+                beta = cfg.betas[i]
+                r = beta / (5.0 * d_min)
+                peak = min(cfg.concavity_thresholds[i], cfg.q_upper)
+                x_peak = _log_shaded_marginal(beta, d_min, n, peak)
+                x_lo = (_log_shaded_marginal(beta, d_min, n, lo) if lo > -L
+                        else x_peak - 20.0)
+                for x in np.linspace(x_lo, x_peak, 7):
+                    eta = math.exp(x)
+                    rise = float(np.clip(
+                        _shaded_root(np.array([r]), L, eta, 0)[0], lo, peak))
+                    assert (_shaded_lagrangian(beta, d_min, n, eta, rise)
+                            <= _shaded_lagrangian(beta, d_min, n, eta, lo)
+                            + 1e-12)
+                    checked += 1
+        assert checked >= 100
+
+
 class TestSolveDual:
     @pytest.mark.parametrize("mode", [MODE_TRUE, MODE_MODIFIED])
     def test_symmetric_market_is_all_zero(self, mode):
@@ -344,6 +442,7 @@ class TestSolveDual:
         # every solve searches ln(eta) by Newton steps, so balanced solves
         # take few evaluations; the one unbalanced case-study row stops once
         # its bracket closes on the jump (200 evaluations without that stop)
+        # and then evaluates the bracket's two ends
         assert solve_dual(symmetric_config(), MODE_TRUE).iterations >= 1
         gap_rows = []
         for panel in PANELS:
@@ -501,34 +600,45 @@ def _random_non_concave_market(rng):
             return cfg
 
 
+def _closed_form_bracket(cfg, mode):
+    """solve_dual's starting bracket, written apart from the package."""
+    r = np.asarray(cfg.betas) / (5.0 * cfg.d_min)
+    L = (cfg.n_prosumers - 1) * cfg.d_min
+
+    def marginal(q):
+        m = r * np.exp(-r * q)
+        return m if mode == MODE_TRUE else (1.0 + q / L) * m
+
+    peak = (np.full(r.size, -cfg.s_max) if mode == MODE_TRUE else
+            np.clip(cfg.concavity_thresholds, -cfg.s_max, cfg.q_upper))
+    return marginal(cfg.q_upper).min() / 10.0, marginal(peak).max() * 10.0
+
+
 def _bisection_reference(cfg):
     """Bisect eta in linear space on the modified excess demand.
 
-    The bracket top is the largest shaded marginal on [-s_max, q_upper],
-    written apart from the package, and widened tenfold; its bottom is
-    widened as in _find_bracket. Returns the excess evaluation (sum q, q)
-    of least |sum q|, or None when no bottom with sum q >= 0 is found.
+    The bracket is solve_dual's starting bracket, written apart from the
+    package; its bottom is widened as in _find_bracket until sum q >= 0 or
+    |sum q| is within the rounding floor 8*eps*sum |q_i|. Returns the excess
+    evaluation (sum q, q) of least |sum q|, or None when no such bottom is
+    found.
     """
     def excess(eta):
         q, _ = marginal_inverse_modified(cfg, eta)
         return float(q.sum()), q
 
-    r = np.asarray(cfg.betas) / (5.0 * cfg.d_min)
-    L = (cfg.n_prosumers - 1) * cfg.d_min
+    def bottom_ok(e):
+        floor = 8.0 * sys.float_info.epsilon * float(np.abs(e[1]).sum())
+        return e[0] >= -floor
 
-    def marginal(q):
-        return (1.0 + q / L) * r * np.exp(-r * q)
-
-    peak = np.clip(cfg.concavity_thresholds, -cfg.s_max, cfg.q_upper)
-    lo = float(np.min(marginal(np.full(r.size, cfg.q_upper)))) / 10.0
-    hi = float(np.max(marginal(peak))) * 10.0
+    lo, hi = _closed_form_bracket(cfg, MODE_MODIFIED)
     e_lo = excess(lo)
     for _ in range(60):
-        if e_lo[0] >= 0:
+        if bottom_ok(e_lo):
             break
         lo /= 10.0
         e_lo = excess(lo)
-    if e_lo[0] < 0:
+    if not bottom_ok(e_lo):
         return None
     best = min(e_lo, excess(hi), key=lambda e: abs(e[0]))
     for _ in range(200):
@@ -624,3 +734,71 @@ class TestBracketPlumbing:
         with pytest.raises(BracketFailure) as err:
             _find_bracket(always_negative, 0.1, 10.0)
         assert "excess" in str(err.value)
+
+    def test_end_within_rounding_floor_is_balanced(self):
+        # sum q = -1.4e-14 over sum |q| = 150: below the floor 8*eps*150
+        qs = np.array([75.0, -75.0])
+        bracket = _find_bracket(lambda eta: (-1.4e-14, qs, ()), 0.1, 10.0)
+        assert bracket == (0.1, 10.0)
+        with pytest.raises(BracketFailure):
+            _find_bracket(lambda eta: (-1e-12, qs, ()), 0.1, 10.0)
+
+
+class TestOnDemandBracket:
+    """The bracket's ends are evaluated only where the search cannot settle."""
+
+    @pytest.fixture
+    def etas(self, monkeypatch):
+        seen = []
+        for name in ("marginal_inverse_true", "marginal_inverse_modified"):
+            inverse = getattr(solver, name)
+
+            def counted(config, eta, inverse=inverse):
+                seen.append(eta)
+                return inverse(config, eta)
+
+            monkeypatch.setattr(solver, name, counted)
+        return seen
+
+    def test_iterations_count_every_evaluation(self, etas):
+        gap_rows = ends_seen = 0
+        for panel in PANELS:
+            spec = case_study_spec(panel, steps=30)
+            for value in spec.values():
+                cfg = spec.config_at(float(value))
+                for mode in (MODE_TRUE, MODE_MODIFIED):
+                    etas.clear()
+                    res = solve_dual(cfg, mode)
+                    assert len(etas) == res.iterations, (panel, value, mode)
+                    bottom, top = _closed_form_bracket(cfg, mode)
+                    if res.converged:
+                        ends_seen += (min(etas) <= bottom * (1 + 1e-9)
+                                      or max(etas) >= top * (1 - 1e-9))
+                    else:
+                        # the gap row compares both ends with its best
+                        gap_rows += 1
+                        assert min(etas) == pytest.approx(bottom, rel=1e-12)
+                        assert max(etas) == pytest.approx(top, rel=1e-12)
+        # a settled search never evaluates the ends; 13 balanced competitive
+        # solves stop instead on a Newton step below 1e-13 that lands on a
+        # bracket end, and the ends are checked after it
+        assert gap_rows == 1 and ends_seen <= 13
+
+    def test_widened_bracket_is_searched_again(self, monkeypatch):
+        # the inverse seen at eta is the competitive one at 1e5*eta, so the
+        # market clears below the closed-form bracket's bottom: the first
+        # search cannot settle, and the widened bracket is searched again
+        monkeypatch.setattr(solver, "marginal_inverse_true",
+                            lambda config, eta: marginal_inverse_true(
+                                config, 1e5 * eta))
+        res = solve_dual(symmetric_config(), MODE_TRUE)
+        assert res.converged
+        assert res.price == pytest.approx(2.5 / 20.0 / 1e5, rel=1e-12)
+
+    def test_no_bottom_still_raises(self, etas):
+        # every prosumer takes -s_max wherever the search looks (excess -8),
+        # so it cannot settle, and 60 widenings of the bottom find no sign
+        # change
+        with pytest.raises(BracketFailure):
+            solve_dual(MarketConfig(2, 1.0, 4.0, (2.0, 3.0)), MODE_MODIFIED)
+        assert len(etas) > 60
