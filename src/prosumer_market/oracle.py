@@ -76,22 +76,17 @@ def _capacity_lower_bound(rival_sum: float, config: MarketConfig) -> float:
     """Smallest own bid honoring the capacity constraint q_i >= -s_max.
 
     The bound theta_i >= p * (-s_max - d_min) moves with the price, which
-    moves with theta_i; iterate to the fixed point. The map is a
-    contraction whenever s_max < (N-1)*d_min; otherwise fall back to a
-    wide static bound.
+    moves with theta_i: q_i = -s_max exactly at the fixed point of
+    theta_i = c*(theta_i + rival_sum), c = (s_max + d_min)/(N*d_min), that
+    is theta_i = c*rival_sum/(1 - c) = (s_max + d_min)*rival_sum /
+    ((N-1)*d_min - s_max). Where s_max >= (N-1)*d_min (c >= 1) there is no
+    such bid; fall back to a wide static bound.
     """
     n, d, s = config.n_prosumers, config.d_min, config.s_max
-    c = (s + d) / (n * d)
-    if c >= 1.0:
+    room = (n - 1) * d - s
+    if room <= 0:
         return -1e6 * max(1.0, abs(rival_sum))
-    x = 0.0
-    for _ in range(100):
-        x_new = (x + rival_sum) * c
-        if abs(x_new - x) <= 1e-15 * max(1.0, abs(x_new)):
-            x = x_new
-            break
-        x = x_new
-    return x
+    return (s + d) * rival_sum / room
 
 
 def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:

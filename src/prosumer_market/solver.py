@@ -31,11 +31,12 @@ One search serves every mode and regime: a safeguarded Newton search in
 x = ln(eta) (Palomar & Chiang, IEEE JSAC 2006, for the decomposition), with
 slope -sum 1/r_i (true) or sum eta/S_mod''(q_i) (shaded) over the prosumers
 strictly inside their bounds, and the midpoint of its bracket wherever a
-Newton step would leave it. Only a search that does not settle evaluates,
-and widens, the closed-form bracket's ends. Where excess demand is smooth
-it settles in a few evaluations; where it jumps across the balance point
-the bracket closes on the jump, and the solver returns the eta minimizing
-|excess| with its residual.
+Newton step would leave it. Its bracket is a closed-form sign bracket that
+is never evaluated: excess demand is non-negative at its bottom and
+negative at its top. Where excess demand is smooth the search settles in a few
+evaluations; where it jumps across the balance point the bracket closes on
+the jump, and the solver returns the eta minimizing |excess| with its
+residual.
 
 Recovered bids theta_i = eta*(q_i - d_min) reproduce eta as the clearing
 price of the recovered profile.
@@ -184,33 +185,7 @@ def marginal_inverse_modified(config: MarketConfig,
     return q, flags
 
 
-def _floor(e) -> float:
-    """Rounding floor of an excess evaluation's sum: 8*eps*sum |q_i|."""
-    return _SUM_ROUNDING * float(np.abs(e[1]).sum())
-
-
-def _find_bracket(excess, eta_lo, eta_hi):
-    """Widen [eta_lo, eta_hi] until excess demand changes sign across it.
-
-    The bottom is widened first, the two ends together at most 60 times. An
-    end whose excess is within its rounding floor counts as balanced.
-    Returns the bracket's ends.
-    """
-    e_lo, e_hi = excess(eta_lo), excess(eta_hi)
-    for _ in range(60):
-        if e_lo[0] < -_floor(e_lo):
-            eta_lo = max(eta_lo / _BRACKET_WIDEN, 1e-320)
-            e_lo = excess(eta_lo)
-        elif e_hi[0] > _floor(e_hi):
-            eta_hi *= _BRACKET_WIDEN
-            e_hi = excess(eta_hi)
-        else:
-            return eta_lo, eta_hi
-    raise BracketFailure(
-        "no sign change in excess demand", eta_lo, eta_hi, e_lo[0], e_hi[0])
-
-
-def _newton_log(excess, slope, lo, hi, x0) -> bool:
+def _newton_log(excess, slope, lo, hi, x0) -> None:
     """Safeguarded Newton search for the zero of non-increasing excess demand.
 
     The search runs in x = ln(eta) on [ln lo, ln hi], a sign bracket whose
@@ -218,11 +193,11 @@ def _newton_log(excess, slope, lo, hi, x0) -> bool:
     finite ln(eta)); slope(eta, qs) is the derivative of excess demand in x
     where it is smooth. It starts at x0 when x0 lies inside the bracket, and
     takes the midpoint where a Newton step would leave the bracket or the
-    slope is not negative. Returns True once it settles: |sum q| within the
-    rounding floor of the sum, or one evaluation after a Newton step below
-    _NEWTON_XTOL inside the bracket. Returns False when such a step lands on
-    an end, when the midpoint is no longer inside the bracket (closed on a
-    jump, or on an unchecked end), or after _MAX_STEPS evaluations.
+    slope is not negative. It stops once |sum q| is within the rounding
+    floor of the sum, one evaluation after a Newton step below _NEWTON_XTOL
+    inside the bracket, when such a step lands on an end, when the midpoint
+    is no longer inside the bracket (it has closed on a jump), or after
+    _MAX_STEPS evaluations. excess records what it sees.
     """
     a, b = math.log(lo), min(math.log(hi), _LOG_ETA_MAX)
     x = x0 if a < x0 < b else 0.5 * (a + b)
@@ -230,8 +205,8 @@ def _newton_log(excess, slope, lo, hi, x0) -> bool:
     for _ in range(_MAX_STEPS):
         eta = math.exp(x)
         e = excess(eta)
-        if last or abs(e[0]) <= _floor(e):
-            return True
+        if last or abs(e[0]) <= _SUM_ROUNDING * float(np.abs(e[1]).sum()):
+            return
         if e[0] > 0:
             a = x
         else:
@@ -244,12 +219,11 @@ def _newton_log(excess, slope, lo, hi, x0) -> bool:
         elif abs(step) < _NEWTON_XTOL:
             # x is an end of the bracket now: the step rounds onto it or
             # crosses it by less than the tolerance
-            return False
+            return
         else:
             x = 0.5 * (a + b)
             if not a < x < b:
-                return False
-    return False
+                return
 
 
 def solve_dual(config: MarketConfig, mode: str) -> SolveResult:
@@ -260,15 +234,16 @@ def solve_dual(config: MarketConfig, mode: str) -> SolveResult:
     (evaluated with the actual curves in both modes). converged reports
     whether |sum q_i| reached tol_root. Every mode and regime is solved by
     one safeguarded Newton search in ln(eta) from the all-free competitive
-    price on the closed-form starting bracket. Only a search that does not
-    settle evaluates the bracket's ends, widens them where their signs are
-    wrong and, if they moved, searches again. iterations counts every
-    excess evaluation, bracket ends included. In the modified mode's
-    non-concave regime the argmax can jump across the balance point; the
-    search then stops once its bracket closes on the jump, the best
-    available eta is returned, the residual recorded, and the affected
-    prosumers listed in non_concave_prosumers. Emits one SaturationWarning
-    when the exponent clamp engages anywhere in the solve.
+    price on a closed-form sign bracket; iterations counts its excess
+    evaluations. In the modified mode's non-concave regime the argmax can
+    jump across the balance point; the search then stops once its bracket
+    closes on the jump, the best available eta is returned, the residual
+    recorded, and the affected prosumers listed in non_concave_prosumers.
+    Raises BracketFailure, before any evaluation, when every shaded curve
+    is non-concave and no higher at q_upper than at -s_max, so that every
+    prosumer prefers -s_max at every price and excess demand is -N*s_max
+    everywhere. Emits one SaturationWarning when the exponent clamp engages
+    anywhere in the solve.
     """
     if mode not in MODES:
         raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
@@ -306,23 +281,42 @@ def solve_dual(config: MarketConfig, mode: str) -> SolveResult:
             return eta * float(np.sum(1.0 / _shaded_curvature(
                 rates[free], L, qs[free], warn=False)))
 
-    # closed-form starting bracket from the marginals, widened. The top is
-    # the largest marginal on [-s_max, q_upper]: the shaded marginal rises
-    # below the eq21 threshold and falls above it, so it peaks at the
-    # threshold clipped to the interval, where it is positive even when
-    # the marginal at -s_max is not.
+    # closed-form sign bracket from the marginals, widened. The top is the
+    # largest marginal on [-s_max, q_upper]: the shaded marginal rises below
+    # the eq21 threshold and falls above it, so it peaks at the threshold
+    # clipped to the interval, where it is positive even when the marginal
+    # at -s_max is not. Above the top every prosumer takes -s_max. Below the
+    # bottom every competitive q_i is positive and, unless the floor 1e-300
+    # holds the bottom, every concave shaded prosumer takes q_upper.
     q_peak = (np.full(n, -s_max) if mode == MODE_TRUE
               else np.clip(config.concavity_thresholds, -s_max, q_upper))
-    eta_lo = max(float(np.min(marginal(np.full(n, q_upper))))
-                 / _BRACKET_WIDEN, 1e-300)
+    m_upper = marginal(np.full(n, q_upper))
+    eta_lo = max(float(np.min(m_upper)) / _BRACKET_WIDEN, 1e-300)
     eta_hi = float(np.max(marginal(q_peak))) * _BRACKET_WIDEN
+    if mode == MODE_MODIFIED and np.all(config.concavity_thresholds > -s_max):
+        # a non-concave prosumer takes q_upper exactly when eta is at most
+        # its reach, the lesser of its marginal at q_upper and its chord
+        # slope from -s_max, and -s_max at every eta above a reach that is
+        # its chord slope. One prosumer at q_upper balances the rest at
+        # -s_max, so excess demand is non-negative up to the largest reach
+        # and -N*s_max above it when that reach lies below the bracket. A
+        # prosumer whose chord slope is not positive prefers -s_max to every
+        # q at every price. Where the marginals at q_upper underflow, so can
+        # the reach; the bottom then stops at the least positive float.
+        s_mod = _shaded_utility(rates, config.offsets, L, config.d_min,
+                                np.array([[q_upper], [-s_max]]), warn=False)
+        chord = (s_mod[0] - s_mod[1]) / (q_upper + s_max)
+        if np.max(chord) <= 0:
+            raise BracketFailure(
+                "no balancing price: every prosumer prefers -s_max at "
+                "every price", eta_lo, eta_hi, -n * s_max, -n * s_max)
+        reach = float(np.max(np.minimum(m_upper, chord)))
+        if reach < eta_lo:
+            eta_lo = max(reach / _BRACKET_WIDEN, math.ulp(0.0))
 
     # the competitive price with every prosumer strictly inside
     x0 = float(np.dot(np.log(rates), inv_rates) / inv_rates.sum())
-    if not _newton_log(excess, slope, eta_lo, eta_hi, x0):
-        lo, hi = _find_bracket(excess, eta_lo, eta_hi)
-        if (lo, hi) != (eta_lo, eta_hi):
-            _newton_log(excess, slope, lo, hi, x0)
+    _newton_log(excess, slope, eta_lo, eta_hi, x0)
 
     (total, qs, flags), eta = best
     m = marginal(qs)

@@ -15,6 +15,8 @@ from prosumer_market import (
     UnboundedPayoff,
     best_response,
     brute_force_program,
+    clearing_price,
+    quantity_from_bid,
     solve_dual,
     strategic_payoff,
 )
@@ -93,6 +95,22 @@ class TestBestResponse:
         res = best_response(0, nash.thetas, cfg)
         rival_sum = nash.thetas.sum() - nash.thetas[0]
         assert res.theta_star <= -rival_sum - cfg.eps_price + 1e-12
+
+    @pytest.mark.parametrize("c", [0.5, 0.95, 0.99])
+    def test_lowest_bid_reaches_capacity(self, c):
+        # a nearly flat curve makes selling everything the best response, so
+        # the search returns its lowest bid, which must put q_i at -s_max.
+        # c = (s_max + d_min)/(N*d_min) is the rate of the fixed-point map
+        # that bid solves; iterating the map converges slowly near c = 1
+        n, d_min = 4, 1.0
+        s_max = c * n * d_min - d_min
+        cfg = MarketConfig(n, d_min, s_max, (0.05, 2.0, 2.0, 2.0))
+        thetas = np.full(n, -1.0)
+        res = best_response(0, thetas, cfg)
+        thetas[0] = res.theta_star
+        price = clearing_price(thetas, d_min)
+        q = quantity_from_bid(res.theta_star, price, d_min)
+        assert q == pytest.approx(-s_max, abs=1e-12)
 
     def test_rejects_nonnegative_rival_sum(self):
         cfg = MarketConfig(2, 1.0, 3.0, (2.0, 2.0))

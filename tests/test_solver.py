@@ -32,7 +32,7 @@ from prosumer_market import (
     welfare,
 )
 from prosumer_market import solver
-from prosumer_market.solver import _find_bracket, _shaded_root
+from prosumer_market.solver import _shaded_root
 
 
 def symmetric_config(n=11, beta=2.5, d_min=4.0, s_max=3.0):
@@ -442,7 +442,6 @@ class TestSolveDual:
         # every solve searches ln(eta) by Newton steps, so balanced solves
         # take few evaluations; the one unbalanced case-study row stops once
         # its bracket closes on the jump (200 evaluations without that stop)
-        # and then evaluates the bracket's two ends
         assert solve_dual(symmetric_config(), MODE_TRUE).iterations >= 1
         gap_rows = []
         for panel in PANELS:
@@ -513,6 +512,18 @@ class TestSolveDual:
             lagr = modified_utility(spec, n, grid) - res.price * grid
             at_q = modified_utility(spec, n, q) - res.price * q
             assert at_q >= lagr.max() - 1e-12
+
+    def test_underflowing_reach_still_balances(self):
+        # every prosumer is non-concave by a hair and every shaded marginal
+        # at q_upper underflows to 0, so the largest reach reads 0 although
+        # the chord slopes are positive; the market balances all the same
+        cfg = MarketConfig(3, 1.0, 1.999, (2000.0, 2500.0, 3000.0))
+        assert np.all(cfg.concavity_thresholds > -cfg.s_max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SaturationWarning)
+            res = solve_dual(cfg, MODE_MODIFIED)
+        assert res.converged
+        assert abs(res.balance_residual) <= 1e-14
 
     def test_non_concave_jump_below_infinite_bracket_top(self):
         # the bracket top overflows to inf, and prosumer 2's argmax jumps
@@ -618,8 +629,8 @@ def _bisection_reference(cfg):
     """Bisect eta in linear space on the modified excess demand.
 
     The bracket is solve_dual's starting bracket, written apart from the
-    package; its bottom is widened as in _find_bracket until sum q >= 0 or
-    |sum q| is within the rounding floor 8*eps*sum |q_i|. Returns the excess
+    package; its bottom is widened tenfold at a time, at most 60 times,
+    until sum q >= 0 or |sum q| is within the rounding floor 8*eps*sum |q_i|. Returns the excess
     evaluation (sum q, q) of least |sum q|, or None when no such bottom is
     found.
     """
@@ -679,6 +690,31 @@ class TestAgainstBisection:
                 gaps += 1
         assert balanced >= 100 and gaps >= 20
 
+    def test_wide_capacity_markets_need_no_widening(self):
+        # s_max between 2L and 4L, L = (N-1)*d_min, makes every prosumer
+        # non-concave. Where excess demand is negative at the closed-form
+        # bottom, the largest reach (the chord slope from -s_max to q_upper)
+        # lowers the bottom below the balance point with no evaluation
+        rng = np.random.default_rng(12)
+        checked = 0
+        while checked < 20:
+            n = int(rng.integers(2, 6))
+            d_min = float(rng.uniform(0.2, 3.0))
+            s_max = float(rng.uniform(2.0, 4.0) * (n - 1) * d_min)
+            cfg = MarketConfig(n, d_min, s_max, tuple(rng.uniform(0.3, 4.0, n)))
+            bottom, _ = _closed_form_bracket(cfg, MODE_MODIFIED)
+            if marginal_inverse_modified(cfg, bottom)[0].sum() >= 0:
+                continue
+            ref = _bisection_reference(cfg)
+            if ref is None:
+                continue
+            res = solve_dual(cfg, MODE_MODIFIED)
+            assert res.converged == (abs(ref[0]) <= cfg.tol_root)
+            np.testing.assert_allclose(res.quantities, ref[1], atol=1e-9)
+            # about 59 evaluations when the bottom is found by widening
+            assert res.iterations <= 12
+            checked += 1
+
 
 class TestRecoverBids:
     def test_symmetric_bids(self):
@@ -726,26 +762,8 @@ class TestWelfare:
             welfare(cfg, np.zeros(4))
 
 
-class TestBracketPlumbing:
-    def test_bracket_failure_diagnostics(self):
-        def always_negative(eta):
-            return (-1.0, np.zeros(2), ())
-
-        with pytest.raises(BracketFailure) as err:
-            _find_bracket(always_negative, 0.1, 10.0)
-        assert "excess" in str(err.value)
-
-    def test_end_within_rounding_floor_is_balanced(self):
-        # sum q = -1.4e-14 over sum |q| = 150: below the floor 8*eps*150
-        qs = np.array([75.0, -75.0])
-        bracket = _find_bracket(lambda eta: (-1.4e-14, qs, ()), 0.1, 10.0)
-        assert bracket == (0.1, 10.0)
-        with pytest.raises(BracketFailure):
-            _find_bracket(lambda eta: (-1e-12, qs, ()), 0.1, 10.0)
-
-
 class TestOnDemandBracket:
-    """The bracket's ends are evaluated only where the search cannot settle."""
+    """The closed-form bracket is a sign bracket whose ends are never evaluated."""
 
     @pytest.fixture
     def etas(self, monkeypatch):
@@ -761,7 +779,7 @@ class TestOnDemandBracket:
         return seen
 
     def test_iterations_count_every_evaluation(self, etas):
-        gap_rows = ends_seen = 0
+        gap_rows = 0
         for panel in PANELS:
             spec = case_study_spec(panel, steps=30)
             for value in spec.values():
@@ -769,36 +787,24 @@ class TestOnDemandBracket:
                 for mode in (MODE_TRUE, MODE_MODIFIED):
                     etas.clear()
                     res = solve_dual(cfg, mode)
-                    assert len(etas) == res.iterations, (panel, value, mode)
+                    key = (panel, float(value), mode)
+                    assert len(etas) == res.iterations, key
+                    gap_rows += not res.converged
                     bottom, top = _closed_form_bracket(cfg, mode)
-                    if res.converged:
-                        ends_seen += (min(etas) <= bottom * (1 + 1e-9)
-                                      or max(etas) >= top * (1 - 1e-9))
-                    else:
-                        # the gap row compares both ends with its best
-                        gap_rows += 1
-                        assert min(etas) == pytest.approx(bottom, rel=1e-12)
-                        assert max(etas) == pytest.approx(top, rel=1e-12)
-        # a settled search never evaluates the ends; 13 balanced competitive
-        # solves stop instead on a Newton step below 1e-13 that lands on a
-        # bracket end, and the ends are checked after it
-        assert gap_rows == 1 and ends_seen <= 13
-
-    def test_widened_bracket_is_searched_again(self, monkeypatch):
-        # the inverse seen at eta is the competitive one at 1e5*eta, so the
-        # market clears below the closed-form bracket's bottom: the first
-        # search cannot settle, and the widened bracket is searched again
-        monkeypatch.setattr(solver, "marginal_inverse_true",
-                            lambda config, eta: marginal_inverse_true(
-                                config, 1e5 * eta))
-        res = solve_dual(symmetric_config(), MODE_TRUE)
-        assert res.converged
-        assert res.price == pytest.approx(2.5 / 20.0 / 1e5, rel=1e-12)
+                    assert bottom * (1 + 1e-9) < min(etas), key
+                    assert max(etas) < top * (1 - 1e-9), key
+        # the s_max=4.5 Nash row is the one unbalanced solve
+        assert gap_rows == 1
 
     def test_no_bottom_still_raises(self, etas):
-        # every prosumer takes -s_max wherever the search looks (excess -8),
-        # so it cannot settle, and 60 widenings of the bottom find no sign
-        # change
-        with pytest.raises(BracketFailure):
-            solve_dual(MarketConfig(2, 1.0, 4.0, (2.0, 3.0)), MODE_MODIFIED)
-        assert len(etas) > 60
+        # every prosumer's shaded curve is lower at q_upper than at -s_max,
+        # so each prefers -s_max at every price (excess -8 everywhere); the
+        # solve says so before any evaluation
+        cfg = MarketConfig(2, 1.0, 4.0, (2.0, 3.0))
+        with pytest.raises(BracketFailure,
+                           match="every prosumer prefers -s_max") as err:
+            solve_dual(cfg, MODE_MODIFIED)
+        assert etas == []
+        assert (err.value.excess_lo, err.value.excess_hi) == (-8.0, -8.0)
+        assert (err.value.eta_lo, err.value.eta_hi) == pytest.approx(
+            _closed_form_bracket(cfg, MODE_MODIFIED), rel=1e-12)
