@@ -37,6 +37,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,11 +93,17 @@ def _antideriv(r, offset, q, warn: bool = True):
     return offset * q + _decay(r, q, warn) / r
 
 
-def _shaded_utility(r, offset, L: float, d_min: float, q, warn: bool = True):
-    """S_mod(q) = (1 + q/L)*S(q) - (A(q) - A(d_min))/L."""
+def _shaded_utility(r, offset, L: float, d_min: float, q, warn: bool = True,
+                    antideriv_dmin=None):
+    """S_mod(q) = (1 + q/L)*S(q) - (A(q) - A(d_min))/L.
+
+    antideriv_dmin, when given, is A(d_min) computed once for r and offset.
+    """
     q = np.asarray(q, dtype=float)
     e = _decay(r, q, warn)
-    integral = (offset * q + e / r) - _antideriv(r, offset, d_min, warn)
+    if antideriv_dmin is None:
+        antideriv_dmin = _antideriv(r, offset, d_min, warn)
+    integral = (offset * q + e / r) - antideriv_dmin
     return (1.0 + q / L) * (offset - e) - integral / L
 
 
@@ -116,6 +123,22 @@ def _shading_length(n: int, d_min: float) -> float:
     if n < 2:
         raise DomainError(f"market size must be at least 2, got {n}")
     return (n - 1) * d_min
+
+
+class NonConcaveTerms(NamedTuple):
+    """The eta-independent terms of the non-concave shaded inversion.
+
+    mask marks the prosumers whose shaded curve is not concave on
+    [-s_max, q_upper] (eq21 threshold above -s_max); every other field holds
+    their entries only.
+    """
+
+    mask: np.ndarray
+    rates: np.ndarray
+    offsets: np.ndarray
+    antideriv_dmin: np.ndarray  # A(d_min)
+    utility_lo: np.ndarray  # S_mod(-s_max)
+    peak_marginal: np.ndarray  # S_mod' at the threshold clipped to q_upper
 
 
 class ExponentialUtility:
@@ -209,6 +232,32 @@ class MarketConfig:
         """
         return _frozen(5.0 * self.d_min / np.asarray(self.betas)
                        - (self.n_prosumers - 1) * self.d_min)
+
+    @cached_property
+    def log_rates(self) -> np.ndarray:
+        """Per-prosumer ln r_i."""
+        return _frozen(np.log(self.rates))
+
+    @cached_property
+    def rate_lengths(self) -> np.ndarray:
+        """Per-prosumer r_i*L, the rate times the shading length (N-1)*d_min."""
+        return _frozen(
+            self.rates * _shading_length(self.n_prosumers, self.d_min))
+
+    @cached_property
+    def non_concave_terms(self) -> NonConcaveTerms:
+        """The shaded inversion's eta-independent terms, non-concave prosumers."""
+        lo = -self.s_max
+        mask = _frozen(self.concavity_thresholds > lo)
+        r, offset = self.rates[mask], self.offsets[mask]
+        L = _shading_length(self.n_prosumers, self.d_min)
+        a_dmin = _antideriv(r, offset, self.d_min, warn=False)
+        peak = np.minimum(self.concavity_thresholds[mask], self.q_upper)
+        return NonConcaveTerms(
+            mask, _frozen(r), _frozen(offset), _frozen(a_dmin),
+            _frozen(_shaded_utility(r, offset, L, self.d_min, lo, warn=False,
+                                    antideriv_dmin=a_dmin)),
+            _frozen(_shaded_marginal(r, L, peak, warn=False)))
 
     @property
     def q_upper(self) -> float:

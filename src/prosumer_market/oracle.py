@@ -28,7 +28,8 @@ from .market import (Allocation, MarketConfig, _marginal, _shaded_marginal,
 from .solver import MODE_TRUE, MODES
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# a best-response grid of this many points takes about 80 MB per array
+# a grid of this many points takes about 80 MB per array; it caps the
+# best-response grid and the brute-force grid over all free dimensions
 MAX_GRID_POINTS = 10_000_000
 
 
@@ -180,7 +181,8 @@ def brute_force_program(config: MarketConfig, mode: str,
     the incumbent for zoom_passes rounds so the returned grid point is
     sharp enough to certify the dual solver. The zoom assumes the incumbent
     basin contains the optimum, which holds on the concave regime this
-    oracle is specified for.
+    oracle is specified for. Raises TooLarge, before allocating anything, when
+    grid_points**(N-1) exceeds MAX_GRID_POINTS (3162 points for N = 3).
     """
     if mode not in MODES:
         raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
@@ -189,6 +191,9 @@ def brute_force_program(config: MarketConfig, mode: str,
         raise TooLarge(f"brute force supports at most 3 prosumers, got {n}")
     if grid_points < 1000:
         raise DomainError(f"need at least 1000 grid points, got {grid_points}")
+    if grid_points ** (n - 1) > MAX_GRID_POINTS:
+        raise TooLarge(f"brute force supports at most {MAX_GRID_POINTS} grid "
+                       f"points in all, got {grid_points}**{n - 1}")
     s = config.s_max
     f = _objective(config, mode)
     lo_full, hi_full = -s, (n - 1) * s

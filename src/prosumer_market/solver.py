@@ -14,11 +14,15 @@ eta every prosumer independently maximizes its Lagrangian S(q) - eta*q over
 excess demand sum_i q_i(eta). The per-prosumer maximizers are closed-form and
 computed for all prosumers at once. With r = beta/(5*d_min) the true
 marginal r*exp(-r*q) = eta inverts by a logarithm; the shaded marginal
-(1 + q/L)*r*exp(-r*q) = eta, L = (N-1)*d_min, becomes u*exp(-u) = z with
-u = r*(q + L) and z = eta*L*exp(-r*L), whose falling root u >= 1 is
--W_{-1}(-z) and whose rising root u <= 1 is -W_0(-z) (Lambert W; Corless et
-al., Adv. Comput. Math. 1996). The branch point u = 1 is the eq21
-threshold.
+(1 + q/L)*r*exp(-r*q) = eta, L = (N-1)*d_min, becomes u - ln(u) = 1 + sigma
+with u = r*(q + L) and sigma = r*L - ln(eta*L) - 1, whose falling root
+u >= 1 is -W_{-1}(-exp(-sigma - 1)) (Lambert W; Corless et al., Adv. Comput.
+Math. 1996). It is found by a fixed number of real Newton steps from a
+closed-form lower bound (Chatzigeorgiou, IEEE Commun. Lett. 2013) and one
+Newton step in q, or by the series at the branch point u = 1, the eq21
+threshold. The eta-independent terms (ln r, r*L and, for the non-concave
+prosumers, S_mod(-s_max), the marginal's peak and A(d_min)) are cached on
+the config.
 
 Where a shaded curve is not concave over the whole interval, its rising
 stationary point is a local minimum of the Lagrangian, so only the capacity
@@ -49,7 +53,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import lambertw
 
 from .errors import BracketFailure, DomainError
 from .market import (_EXP_CLAMP, Allocation, MarketConfig, _marginal,
@@ -71,12 +74,10 @@ _SUM_ROUNDING = 8.0 * sys.float_info.epsilon
 _NEWTON_XTOL = 1e-13
 # largest finite ln(eta); stands in for an infinite upper bracket end
 _LOG_ETA_MAX = math.log(sys.float_info.max)
-# below this distance p from the branch point the roots come from its series
-# (truncation error below 1e-22); scipy's W_{-1} is inexact there
+# below this distance p from the branch point the falling root comes from its
+# series (truncation error below 1e-22), where the Newton steps in u and q
+# would divide by nearly zero
 _SERIES_P = 1e-3
-# below this log z, z is subnormal or zero and the falling root is solved in
-# log space
-_LOG_Z_FLOOR = -700.0
 
 
 @dataclass(frozen=True)
@@ -108,35 +109,40 @@ class SolveResult:
         return self.allocation.quantities
 
 
-def _shaded_root(r, L: float, eta: float, branch: int) -> np.ndarray:
-    """q where the shaded marginal equals eta, on one branch, per prosumer.
+def _shaded_root(r, log_r, rL, L: float, eta: float) -> np.ndarray:
+    """q on the falling branch where the shaded marginal equals eta.
 
-    With u = r*(q + L) the equation is u*exp(-u) = z, z = eta*L*exp(-r*L).
-    branch -1 gives the falling root u = -W_{-1}(-z) >= 1, branch 0 the
-    rising root u = -W_0(-z) <= 1. Above the peak (z > 1/e) there is no
-    root and both branches return the peak u = 1, q = 1/r - L. Near the
-    peak, where scipy's W_{-1} loses accuracy, u comes from the branch-point
-    series of u - ln(u) = 1 + p**2/2. Where z underflows, the falling root
-    solves u - ln(u) = -ln(z) by Newton steps from the asymptote
-    u = t + ln(t); the rising root is then u = z, which W_0 gives as is.
+    r, log_r and rL are per-prosumer r, ln r and r*L. With u = r*(q + L)
+    the equation (1 + q/L)*r*exp(-r*q) = eta reads u - ln(u) = 1 + sigma,
+    sigma = r*L - ln(eta*L) - 1, whose root u >= 1 is -W_{-1}(-exp(-sigma-1)).
+    Above the peak (sigma <= 0) there is no root and the peak u = 1,
+    q = 1/r - L, is returned. Near the peak (p = sqrt(2*sigma) below
+    _SERIES_P) u comes from the branch-point series. Elsewhere u starts at
+    the lower bound 1 + p + p**2/3 (Chatzigeorgiou, IEEE Commun. Lett. 2013)
+    and takes three Newton steps on the convex u - ln(u) - 1 - sigma, which
+    overshoot once and then fall to the root; then one Newton step in q on
+    log1p(q/L) + ln r - r*q - ln(eta) recovers the digits that u/r - L
+    cancels when r*L is large.
     """
-    log_z = np.minimum(math.log(eta) + math.log(L) - r * L, -1.0)
-    p = np.sqrt(-2.0 * (1.0 + log_z))
-    if branch == 0:
-        p = -p
-    series = 1.0 + p * (1.0 + p * (1.0 / 3.0 + p * (1.0 / 36.0 + p * (
-        -1.0 / 270.0 + p / 4320.0))))
-    with np.errstate(invalid="ignore"):  # W at the clamped branch point
-        u = np.where(np.abs(p) < _SERIES_P, series,
-                     -lambertw(-np.exp(log_z), branch).real)
-    tiny = log_z < _LOG_Z_FLOOR
-    if branch == -1 and np.any(tiny):
-        t = -log_z[tiny]
-        v = t + np.log(t)
-        for _ in range(4):
-            v = v * (np.log(v) + t - 1.0) / (v - 1.0)
-        u[tiny] = v
-    return u / r - L
+    log_eta = math.log(eta)
+    sigma = np.maximum(rL - (log_eta + math.log(L) + 1.0), 0.0)
+    p = np.sqrt(2.0 * sigma)
+    near = p < _SERIES_P
+    any_near = near.any()
+    # the Newton start of a series prosumer is moved off u = 1, where the
+    # step divides by zero; its result is replaced below
+    p_start = np.maximum(p, _SERIES_P) if any_near else p
+    u = 1.0 + p_start * (1.0 + p_start / 3.0)
+    for _ in range(3):
+        u = u / (u - 1.0) * (sigma + np.log(u))
+    q = u / r - L
+    g = np.log1p(q / L) + (log_r - r * q) - log_eta
+    q -= g / (1.0 / (L + q) - r)
+    if any_near:
+        series = 1.0 + p * (1.0 + p * (1.0 / 3.0 + p * (1.0 / 36.0 + p * (
+            -1.0 / 270.0 + p / 4320.0))))
+        q = np.where(near, series / r - L, q)
+    return q
 
 
 def marginal_inverse_true(config: MarketConfig, eta: float) -> np.ndarray:
@@ -164,24 +170,22 @@ def marginal_inverse_modified(config: MarketConfig,
     if eta <= 0:
         raise DomainError(f"eta must be positive, got {eta}")
     lo, hi = -config.s_max, config.q_upper
-    r, L = config.rates, _shading_length(config.n_prosumers, config.d_min)
-    q = np.clip(_shaded_root(r, L, eta, -1), lo, hi)
+    L = _shading_length(config.n_prosumers, config.d_min)
+    q = np.clip(_shaded_root(config.rates, config.log_rates,
+                             config.rate_lengths, L, eta), lo, hi)
     flags = np.zeros(config.n_prosumers, dtype=bool)
-    nc = config.concavity_thresholds > lo
-    if not nc.any():
+    nc = config.non_concave_terms
+    if not nc.rates.size:
         return q, flags
 
-    r_nc, fall = r[nc], q[nc]
-    peak = np.minimum(config.concavity_thresholds[nc], hi)
-
-    def lagrangian(x):
-        return (_shaded_utility(r_nc, config.offsets[nc], L, config.d_min, x,
-                                warn=False) - eta * x)
-
-    keep = ((eta <= _shaded_marginal(r_nc, L, peak, warn=False))
-            & (lagrangian(fall) >= lagrangian(lo)))
-    q[nc] = np.where(keep, fall, lo)
-    flags[nc] = _shaded_curvature(r_nc, L, q[nc], warn=False) > 0
+    fall = q[nc.mask]
+    lagrangian_fall = _shaded_utility(
+        nc.rates, nc.offsets, L, config.d_min, fall, warn=False,
+        antideriv_dmin=nc.antideriv_dmin) - eta * fall
+    keep = ((eta <= nc.peak_marginal)
+            & (lagrangian_fall >= nc.utility_lo - eta * lo))
+    q[nc.mask] = np.where(keep, fall, lo)
+    flags[nc.mask] = _shaded_curvature(nc.rates, L, q[nc.mask], warn=False) > 0
     return q, flags
 
 
@@ -293,7 +297,7 @@ def solve_dual(config: MarketConfig, mode: str) -> SolveResult:
     m_upper = marginal(np.full(n, q_upper))
     eta_lo = max(float(np.min(m_upper)) / _BRACKET_WIDEN, 1e-300)
     eta_hi = float(np.max(marginal(q_peak))) * _BRACKET_WIDEN
-    if mode == MODE_MODIFIED and np.all(config.concavity_thresholds > -s_max):
+    if mode == MODE_MODIFIED and config.non_concave_terms.mask.all():
         # a non-concave prosumer takes q_upper exactly when eta is at most
         # its reach, the lesser of its marginal at q_upper and its chord
         # slope from -s_max, and -s_max at every eta above a reach that is
@@ -303,9 +307,11 @@ def solve_dual(config: MarketConfig, mode: str) -> SolveResult:
         # prosumer whose chord slope is not positive prefers -s_max to every
         # q at every price. Where the marginals at q_upper underflow, so can
         # the reach; the bottom then stops at the least positive float.
-        s_mod = _shaded_utility(rates, config.offsets, L, config.d_min,
-                                np.array([[q_upper], [-s_max]]), warn=False)
-        chord = (s_mod[0] - s_mod[1]) / (q_upper + s_max)
+        nc = config.non_concave_terms
+        s_upper = _shaded_utility(rates, config.offsets, L, config.d_min,
+                                  q_upper, warn=False,
+                                  antideriv_dmin=nc.antideriv_dmin)
+        chord = (s_upper - nc.utility_lo) / (q_upper + s_max)
         if np.max(chord) <= 0:
             raise BracketFailure(
                 "no balancing price: every prosumer prefers -s_max at "

@@ -119,6 +119,13 @@ class TestOracle:
         assert len(diffs) == 2
         assert all(d <= 1e-4 for d in diffs)
 
+    def test_grid_cap_is_validation_error(self, small_config_path, capsys):
+        # 5000**2 grid points for the two free dimensions of three prosumers
+        code = cli_main(["oracle", "--config", str(small_config_path),
+                         "--grid", "5000"])
+        assert code == 1
+        assert "grid points" in capsys.readouterr().err
+
     def test_too_many_prosumers_is_validation_error(self, symmetric_config_path,
                                                     capsys):
         code = cli_main(["oracle", "--config", str(symmetric_config_path)])

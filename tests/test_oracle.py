@@ -159,6 +159,22 @@ class TestBruteForce:
         with pytest.raises(TooLarge):
             brute_force_program(cfg, MODE_TRUE)
 
+    @pytest.mark.parametrize("n, largest", [(2, 10_000_000), (3, 3162)])
+    def test_grid_cap(self, n, largest, monkeypatch):
+        # the cap applies to grid_points**(N-1), before any grid is built
+        class GridBuilt(Exception):
+            pass
+
+        def build(*args, **kwargs):
+            raise GridBuilt
+
+        cfg = MarketConfig(n, 1.0, 1.0, (2.0,) * n)
+        monkeypatch.setattr(np, "linspace", build)
+        with pytest.raises(TooLarge, match="grid points"):
+            brute_force_program(cfg, MODE_TRUE, grid_points=largest + 1)
+        with pytest.raises(GridBuilt):
+            brute_force_program(cfg, MODE_TRUE, grid_points=largest)
+
     def test_grid_floor(self):
         cfg = MarketConfig(2, 1.0, 1.0, (2.0, 2.0))
         with pytest.raises(DomainError):

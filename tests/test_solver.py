@@ -116,11 +116,17 @@ def _brentq_root(beta, d_min, n, eta, lo, hi):
                   maxiter=500)
 
 
+def _falling_root(r, L, eta):
+    """solver._shaded_root for plain arrays of rates and one shading length."""
+    r = np.asarray(r, dtype=float)
+    return _shaded_root(r, np.log(r), r * L, L, eta)
+
+
 class TestInverseAgainstBrentq:
     """The closed-form inversion against an independent scalar root."""
 
     @pytest.mark.parametrize("beta", [0.6, 2.5, 6.0])
-    def test_both_lambert_w_branches(self, beta):
+    def test_falling_root(self, beta):
         d_min, n = 1.5, 7
         r, L = beta / (5.0 * d_min), (n - 1) * d_min
         q_c = 1.0 / r - L
@@ -128,11 +134,8 @@ class TestInverseAgainstBrentq:
         for offset in (0.05, 0.5, 2.0, 8.0):
             target = q_c + offset / r
             eta = math.exp(_log_shaded_marginal(beta, d_min, n, target))
-            rising = _shaded_root(np.array([r]), L, eta, 0)
-            falling = _shaded_root(np.array([r]), L, eta, -1)
-            want_rise = _brentq_root(beta, d_min, n, eta, -L * (1.0 - 1e-12), q_c)
+            falling = _falling_root([r], L, eta)
             want_fall = _brentq_root(beta, d_min, n, eta, q_c, q_c + 50.0 / r)
-            assert rising[0] == pytest.approx(want_rise, abs=1e-11)
             assert falling[0] == pytest.approx(want_fall, abs=1e-11)
             assert falling[0] == pytest.approx(target, abs=1e-11)
 
@@ -146,31 +149,59 @@ class TestInverseAgainstBrentq:
         for sign in (1.0, -1.0):
             target = q_c + sign * delta / r
             eta = math.exp(_log_shaded_marginal(beta, d_min, n, target))
-            rising = _shaded_root(np.array([r]), L, eta, 0)
-            falling = _shaded_root(np.array([r]), L, eta, -1)
+            falling = _falling_root([r], L, eta)
             if _log_shaded_marginal(beta, d_min, n, q_c) <= math.log(eta):
-                want_rise = want_fall = q_c  # eta rounds onto the peak
+                want_fall = q_c  # eta rounds onto the peak
             else:
-                want_rise = _brentq_root(beta, d_min, n, eta,
-                                         -L * (1.0 - 1e-12), q_c)
                 want_fall = _brentq_root(beta, d_min, n, eta, q_c,
                                          q_c + 50.0 / r)
             tol = 5e-8 / r
-            assert rising[0] == pytest.approx(want_rise, abs=tol)
             assert falling[0] == pytest.approx(want_fall, abs=tol)
-            assert rising[0] <= q_c <= falling[0]
-            own_branch = falling[0] if sign > 0 else rising[0]
-            assert own_branch == pytest.approx(target, abs=tol)
-            for q in (rising[0], falling[0]):
-                log_m = _log_shaded_marginal(beta, d_min, n, q)
-                assert log_m == pytest.approx(math.log(eta), abs=1e-14)
+            assert q_c <= falling[0]
+            if sign > 0:
+                assert falling[0] == pytest.approx(target, abs=tol)
+            log_m = _log_shaded_marginal(beta, d_min, n, falling[0])
+            assert log_m == pytest.approx(math.log(eta), abs=1e-14)
 
     def test_above_peak_returns_peak(self):
-        r, L = np.array([0.4, 1.0]), 4.0
-        rising = _shaded_root(r, L, 1e3, 0)
-        falling = _shaded_root(r, L, 1e3, -1)
-        np.testing.assert_allclose(rising, 1.0 / r - L)
-        np.testing.assert_allclose(falling, 1.0 / r - L)
+        # sigma = 0: exactly the peak, with no NaN and no RuntimeWarning
+        r, L = np.array([0.4, 1.0, 1.0 / 3.0]), 4.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            falling = _falling_root(r, L, 1e3)
+        np.testing.assert_array_equal(falling, 1.0 / r - L)
+
+    def test_random_sweep(self):
+        # u - 1 over seven decades, r over five and L over six; sigma runs
+        # past 700, where exp(-sigma - 1) underflows. About half of the
+        # worst error near the branch point (3e-13) is the reference's own
+        rng = np.random.default_rng(21)
+        checked = above_700 = 0
+        worst = worst_far = 0.0
+        for _ in range(6000):
+            L = 10.0 ** rng.uniform(-1.0, 5.0)
+            # N = 2 and d_min = L; r rounded as the reference rounds it
+            beta = 5.0 * L * 10.0 ** rng.uniform(-2.0, 3.0)
+            r = beta / (5.0 * L)
+            u = 1.0 + 10.0 ** rng.uniform(-3.0, 4.0)
+            target = u / r - L
+            # eta must be a finite, normal float
+            log_eta = math.log1p(target / L) + math.log(r) - r * target
+            if not -700.0 < log_eta < 700.0:
+                continue
+            eta = math.exp(log_eta)
+            q_c = 1.0 / r - L
+            ref = _brentq_root(beta, L, 2, eta, q_c, q_c + 2.0 * u / r)
+            q = _falling_root([r], L, eta)[0]
+            err = abs(q - ref) / (abs(ref) + 1.0 / r)
+            worst = max(worst, err)
+            if u - 1.0 >= 0.1:
+                worst_far = max(worst_far, err)
+            checked += 1
+            above_700 += u - math.log(u) - 1.0 > 700.0
+        assert checked >= 2000 and above_700 >= 30
+        assert worst <= 1e-12
+        assert worst_far <= 1e-14
 
     @pytest.mark.parametrize("beta", [1e3, 1e4])
     def test_underflowing_z(self, beta):
@@ -302,10 +333,17 @@ class TestTwoCandidateInverse:
                 x_peak = _log_shaded_marginal(beta, d_min, n, peak)
                 x_lo = (_log_shaded_marginal(beta, d_min, n, lo) if lo > -L
                         else x_peak - 20.0)
+                # the rising root on [-L, peak], clipped to -s_max
+                a = max(lo, -L * (1.0 - 1e-12))
                 for x in np.linspace(x_lo, x_peak, 7):
                     eta = math.exp(x)
-                    rise = float(np.clip(
-                        _shaded_root(np.array([r]), L, eta, 0)[0], lo, peak))
+                    if _log_shaded_marginal(beta, d_min, n, a) >= math.log(eta):
+                        rise = a
+                    elif (_log_shaded_marginal(beta, d_min, n, peak)
+                          <= math.log(eta)):
+                        rise = peak  # eta rounds onto the peak
+                    else:
+                        rise = _brentq_root(beta, d_min, n, eta, a, peak)
                     assert (_shaded_lagrangian(beta, d_min, n, eta, rise)
                             <= _shaded_lagrangian(beta, d_min, n, eta, lo)
                             + 1e-12)
@@ -524,6 +562,28 @@ class TestSolveDual:
             res = solve_dual(cfg, MODE_MODIFIED)
         assert res.converged
         assert abs(res.balance_residual) <= 1e-14
+
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_large_market_nash_balances(self, seed):
+        # L = (N-1)*d_min = 4e4: forming q as u/r - L cancels about
+        # log10(r*L) digits per prosumer, which left these three Nash solves
+        # unbalanced by 2e-9 to 1e-8 (one after 14 evaluations)
+        n, d_min = 10_000, 4.0
+        rng = np.random.default_rng(seed)
+        cfg = MarketConfig(n, d_min, 1.6, tuple(rng.uniform(1.5, 3.5, n)))
+        res = solve_dual(cfg, MODE_MODIFIED)
+        assert res.converged
+        assert abs(res.balance_residual) <= 1e-9
+        assert res.iterations <= 12
+        log_eta = math.log(res.price)
+        lo, hi = -cfg.s_max, cfg.q_upper
+        for i in rng.choice(n, 200, replace=False):
+            beta = cfg.betas[i]
+            if _log_shaded_marginal(beta, d_min, n, lo) <= log_eta:
+                want = lo
+            else:
+                want = _brentq_root(beta, d_min, n, res.price, lo, hi)
+            assert res.quantities[i] == pytest.approx(want, abs=1e-9)
 
     def test_non_concave_jump_below_infinite_bracket_top(self):
         # the bracket top overflows to inf, and prosumer 2's argmax jumps
