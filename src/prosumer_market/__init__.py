@@ -1,8 +1,7 @@
 """Uniform-price prosumer market: equilibria, condition checks, experiments."""
 
-from .conditions import (ConditionReport, check_eq15, check_eq18, check_eq21,
-                         check_eq36, check_lemma1, eq15_bounds,
-                         evaluate_conditions)
+from .conditions import (ConditionReport, check_eq15, check_eq21, check_lemma1,
+                         eq15_bounds, evaluate_conditions)
 from .errors import (BracketFailure, ConfigError, DomainError, InvalidBids,
                      ProsumerMarketError, SaturationWarning, TooLarge,
                      UnboundedPayoff)
@@ -28,7 +27,7 @@ __all__ = [
     "ProsumerMarketError", "SaturationWarning", "SolveResult", "SweepRow",
     "SweepSpec", "TooLarge", "UnboundedPayoff",
     "best_response", "brute_force_program", "case_study_spec",
-    "check_eq15", "check_eq18", "check_eq21", "check_eq36", "check_lemma1",
+    "check_eq15", "check_eq21", "check_lemma1",
     "clearing_price", "emit_csv", "emit_gnuplot", "eq15_bounds",
     "equilibrium_report", "evaluate_conditions", "load_config_file",
     "marginal_inverse_modified", "marginal_inverse_true", "modified_utility",

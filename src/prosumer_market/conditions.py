@@ -13,18 +13,20 @@ used consistently here, in reports and in the sweep CSVs:
              theta_i >= -(sum_{j!=i} theta_j) * (N*d_min/2 * S''/S' + 1),
           and its right bound keeps the clearing price positive,
              theta_i <= -(sum_{j!=i} theta_j) - eps.
-  eq18    the uniqueness threshold on the allocation:
-             q_i >= -(N-1)*d_min - S'(q_i)/S''(q_i),
+          For the exponential family S''/S' is the constant -r_i, so the
+          bounds depend on the bids alone.
+  eq21    the uniqueness threshold on the allocation,
+             q_i >= 5*d_min/beta_i - d_min*(N-1),
           exactly the region where the shaded (modified) curve is concave.
-  eq21    eq18 specialized to the exponential family, where S'/S'' is the
-          constant -5*d_min/beta:
-             q_i >= 5*d_min/beta_i - d_min*(N-1).
-  eq36    the same concavity statement evaluated from the second-derivative
-          side: modified_utility_deriv2(q_i) <= 0.
+  eq18    the general form q_i >= -(N-1)*d_min - S'(q_i)/S''(q_i). For the
+          exponential family S'/S'' is the constant -5*d_min/beta_i, so
+          eq18 is eq21.
+  eq36    the same concavity read from the shaded second derivative,
+          (r*exp(-r*q)/L) * (1 - r*(q + L)) <= 0, which holds exactly at
+          and above the eq21 threshold.
 
-For the exponential family S'/S'' = -5*d_min/beta, so eq18, eq21 and eq36
-are all the inequality q_i >= 5*d_min/beta_i - (N-1)*d_min, and all three
-compare q against that one threshold vector; they cannot disagree at it.
+check_eq21 is the one threshold comparison; reports carry eq18 and eq36
+under their own names, read from the eq21 flags.
 
 All checks are pure and evaluated pointwise at the candidate, not over the
 whole strategy space.
@@ -36,35 +38,39 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .market import MarketConfig, _curvature, _marginal
+from .market import MarketConfig
 
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Per-prosumer outcome of every condition check, plus the conjunction."""
+    """Per-prosumer outcome of every condition check, plus the conjunction.
+
+    eq18 and eq36 are the eq21 threshold for this utility family, so their
+    flags are the eq21 flags.
+    """
 
     lemma1_ok: np.ndarray
     eq15_ok: np.ndarray
-    eq18_ok: np.ndarray
     eq21_ok: np.ndarray
-    eq36_ok: np.ndarray
     all_ok: bool
 
     def __post_init__(self):
-        for name in ("lemma1_ok", "eq15_ok", "eq18_ok", "eq21_ok", "eq36_ok"):
+        for name in ("lemma1_ok", "eq15_ok", "eq21_ok"):
             arr = np.asarray(getattr(self, name), dtype=bool).copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
+    @property
+    def eq18_ok(self) -> np.ndarray:
+        return self.eq21_ok
+
+    @property
+    def eq36_ok(self) -> np.ndarray:
+        return self.eq21_ok
+
     def counts(self) -> dict[str, int]:
-        return {
-            "lemma1": int(self.lemma1_ok.sum()),
-            "eq15": int(self.eq15_ok.sum()),
-            "eq18": int(self.eq18_ok.sum()),
-            "eq21": int(self.eq21_ok.sum()),
-            "eq36": int(self.eq36_ok.sum()),
-        }
+        return {name: int(getattr(self, f"{name}_ok").sum())
+                for name in ("lemma1", "eq15", "eq18", "eq21", "eq36")}
 
 
 def _rival_sums(thetas: np.ndarray) -> np.ndarray:
@@ -81,60 +87,31 @@ def check_lemma1(thetas) -> np.ndarray:
     return _rival_sums(t) < 0
 
 
-def eq15_bounds(thetas, config: MarketConfig,
-                quantities) -> tuple[np.ndarray, np.ndarray]:
+def eq15_bounds(thetas,
+                config: MarketConfig) -> tuple[np.ndarray, np.ndarray]:
     """Per-prosumer (lower, upper) bid bounds of the eq15 interval.
 
     Lower bound: payoff concavity in the own bid; upper bound: positive
-    clearing price with margin eps_price. Quantities must be the net
-    positions induced by the bids at the clearing price.
+    clearing price with margin eps_price.
     """
-    t = np.asarray(thetas, dtype=float)
-    q = np.asarray(quantities, dtype=float)
-    rivals = _rival_sums(t)
-    r = config.rates
-    if np.any(_marginal(r, q) == 0):
-        raise DomainError("marginal utility vanished; ratio S''/S' undefined")
-    # S''/S' = -r for the exponential family
-    lower = -rivals * (config.n_prosumers * config.d_min / 2.0 * -r + 1.0)
+    rivals = _rival_sums(np.asarray(thetas, dtype=float))
+    # S''/S' = -r for the exponential family, so the left end is
+    # rivals * (N*d_min/2 * r - 1)
+    lower = rivals * (config.n_prosumers * config.d_min / 2.0 * config.rates
+                      - 1.0)
     upper = -rivals - config.eps_price
     return lower, upper
 
 
-def check_eq15(thetas, config: MarketConfig, quantities) -> np.ndarray:
+def check_eq15(thetas, config: MarketConfig) -> np.ndarray:
     """True for prosumer i iff its bid lies inside the eq15 interval."""
     t = np.asarray(thetas, dtype=float)
-    lower, upper = eq15_bounds(t, config, quantities)
+    lower, upper = eq15_bounds(t, config)
     return (lower <= t) & (t <= upper)
 
 
-def check_eq18(quantities, config: MarketConfig) -> np.ndarray:
-    """Uniqueness threshold q >= -(N-1)*d_min - S'(q)/S''(q) at each point.
-
-    For this family the right side is the eq21 threshold vector; S'' is
-    evaluated only to reject points where it has vanished.
-    """
-    q = np.asarray(quantities, dtype=float)
-    if np.any(_curvature(config.rates, q) == 0):
-        raise DomainError("second derivative vanished; threshold undefined")
-    return q >= config.concavity_thresholds
-
-
 def check_eq21(quantities, config: MarketConfig) -> np.ndarray:
-    """Closed-form uniqueness threshold for the exponential utility family.
-
-    q_i >= 5*d_min/beta_i - d_min*(N-1); coincides pointwise with check_eq18
-    for this family.
-    """
-    return np.asarray(quantities, dtype=float) >= config.concavity_thresholds
-
-
-def check_eq36(quantities, config: MarketConfig) -> np.ndarray:
-    """Concavity of the shaded curve at each point: second derivative <= 0.
-
-    The shaded second derivative is (r*exp(-r*q)/L) * (1 - r*(q + L)), which
-    is <= 0 exactly at and above the eq21 threshold.
-    """
+    """Uniqueness threshold q_i >= 5*d_min/beta_i - d_min*(N-1) at each point."""
     return np.asarray(quantities, dtype=float) >= config.concavity_thresholds
 
 
@@ -142,10 +119,7 @@ def evaluate_conditions(config: MarketConfig, thetas,
                         quantities) -> ConditionReport:
     """Run every check on one candidate equilibrium and bundle the report."""
     lemma1 = check_lemma1(thetas)
-    eq15 = check_eq15(thetas, config, quantities)
-    eq18 = check_eq18(quantities, config)
+    eq15 = check_eq15(thetas, config)
     eq21 = check_eq21(quantities, config)
-    eq36 = check_eq36(quantities, config)
-    all_ok = bool(np.all(lemma1) and np.all(eq15) and np.all(eq18)
-                  and np.all(eq21) and np.all(eq36))
-    return ConditionReport(lemma1, eq15, eq18, eq21, eq36, all_ok)
+    all_ok = bool(lemma1.all() and eq15.all() and eq21.all())
+    return ConditionReport(lemma1, eq15, eq21, all_ok)

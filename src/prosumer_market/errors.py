@@ -20,17 +20,6 @@ class ConfigError(ProsumerMarketError):
 class BracketFailure(ProsumerMarketError):
     """No sign change in excess demand was found over the dual search range."""
 
-    def __init__(self, message: str, eta_lo: float, eta_hi: float,
-                 excess_lo: float, excess_hi: float):
-        super().__init__(
-            f"{message} (eta range [{eta_lo:g}, {eta_hi:g}], "
-            f"excess [{excess_lo:g}, {excess_hi:g}])"
-        )
-        self.eta_lo = eta_lo
-        self.eta_hi = eta_hi
-        self.excess_lo = excess_lo
-        self.excess_hi = excess_hi
-
 
 class UnboundedPayoff(ProsumerMarketError):
     """Best-response search requested where the payoff grows without bound."""

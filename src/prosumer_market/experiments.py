@@ -2,9 +2,10 @@
 
 The two case-study experiment families vary one market parameter while
 fixing the rest: the per-prosumer supply capacity s_max, or the
-per-prosumer inelastic demand d_min. Each sweep point solves both welfare
-programs, evaluates the true welfare of both allocations, counts eq21
-violations at the strategic allocation and emits one CSV row.
+per-prosumer inelastic demand d_min. Each sweep point is one
+equilibrium_report: both welfare programs solved, the true welfare of both
+allocations, the condition checks at the strategic allocation; its row
+counts the eq21 violations and becomes one CSV line.
 
 Four canonical 11-prosumer panels ship with the package:
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import ConditionReport, check_eq21, evaluate_conditions
+from .conditions import ConditionReport, evaluate_conditions
 from .errors import BracketFailure, ConfigError, DomainError
 from .market import MarketConfig
 from .solver import MODE_MODIFIED, MODE_TRUE, SolveResult, solve_dual
@@ -140,20 +141,19 @@ def _sweep_point(spec: SweepSpec, value: float) -> SweepRow:
     config = spec.config_at(value)
     total = config.n_prosumers * value
     try:
-        competitive = solve_dual(config, MODE_TRUE)
-        nash = solve_dual(config, MODE_MODIFIED)
+        report = equilibrium_report(config)
     except BracketFailure as exc:
         nan = float("nan")
         return SweepRow(value, total, nan, nan, nan, 0, False, nan, nan,
                         error=str(exc))
-    eq21 = check_eq21(nash.allocation.quantities, config)
+    competitive, nash = report.competitive, report.nash
     return SweepRow(
         param_value=value,
         total_param=total,
         welfare_competitive=competitive.welfare_true,
         welfare_nash=nash.welfare_true,
-        welfare_loss=competitive.welfare_true - nash.welfare_true,
-        eq21_violations=int(np.size(eq21) - np.count_nonzero(eq21)),
+        welfare_loss=report.welfare_loss,
+        eq21_violations=int(np.count_nonzero(~report.conditions.eq21_ok)),
         non_concave_flag=nash.non_concave,
         price_competitive=competitive.price,
         price_nash=nash.price,

@@ -197,39 +197,26 @@ def brute_force_program(config: MarketConfig, mode: str,
     s = config.s_max
     f = _objective(config, mode)
     lo_full, hi_full = -s, (n - 1) * s
-
-    if n == 2:
-        # q2 = -q1 forces q1 into [-s, s]
-        lo, hi = -s, s
-        best_q1 = None
-        for _ in range(zoom_passes + 1):
-            grid = np.linspace(lo, hi, grid_points)
-            vals = f(0, grid) + f(1, -grid)
-            k = int(np.argmax(vals))
-            best_q1 = float(grid[k])
-            cell = (hi - lo) / (grid_points - 1)
-            lo = max(best_q1 - 2 * cell, -s)
-            hi = min(best_q1 + 2 * cell, s)
-        quantities = np.array([best_q1, -best_q1])
-    else:
-        lo1, hi1 = lo_full, hi_full
-        lo2, hi2 = lo_full, hi_full
-        best = None
-        for _ in range(zoom_passes + 1):
-            g1 = np.linspace(lo1, hi1, grid_points)
-            g2 = np.linspace(lo2, hi2, grid_points)
-            q1, q2 = np.meshgrid(g1, g2, indexing="ij")
-            q3 = -q1 - q2
-            feasible = (q3 >= lo_full) & (q3 <= hi_full)
-            vals = f(0, q1) + f(1, q2) + f(2, q3)
-            vals = np.where(feasible, vals, -np.inf)
-            k = np.unravel_index(int(np.argmax(vals)), vals.shape)
-            best = (float(g1[k[0]]), float(g2[k[1]]))
-            c1 = (hi1 - lo1) / (grid_points - 1)
-            c2 = (hi2 - lo2) / (grid_points - 1)
-            lo1, hi1 = max(best[0] - 2 * c1, lo_full), min(best[0] + 2 * c1, hi_full)
-            lo2, hi2 = max(best[1] - 2 * c2, lo_full), min(best[1] + 2 * c2, hi_full)
-        quantities = np.array([best[0], best[1], -best[0] - best[1]])
+    # the free coordinates q_1..q_{N-1}; the last prosumer balances them
+    lo, hi = [lo_full] * (n - 1), [hi_full] * (n - 1)
+    for _ in range(zoom_passes + 1):
+        axes = [np.linspace(a, b, grid_points) for a, b in zip(lo, hi)]
+        free = np.meshgrid(*axes, indexing="ij")
+        q_last = -free[0]
+        vals = f(0, free[0])
+        for i, q in enumerate(free[1:], start=1):
+            q_last = q_last - q
+            vals = vals + f(i, q)
+        vals = vals + f(n - 1, q_last)
+        feasible = (q_last >= lo_full) & (q_last <= hi_full)
+        vals = np.where(feasible, vals, -np.inf)
+        k = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        best = [float(axis[j]) for axis, j in zip(axes, k)]
+        for j, (a, b) in enumerate(zip(lo, hi)):
+            cell = (b - a) / (grid_points - 1)
+            lo[j] = max(best[j] - 2 * cell, lo_full)
+            hi[j] = min(best[j] + 2 * cell, hi_full)
+    quantities = np.array(best + [float(q_last[k])])
 
     return _certify(config, mode, quantities)
 

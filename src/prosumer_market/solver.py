@@ -314,8 +314,9 @@ def solve_dual(config: MarketConfig, mode: str) -> SolveResult:
         chord = (s_upper - nc.utility_lo) / (q_upper + s_max)
         if np.max(chord) <= 0:
             raise BracketFailure(
-                "no balancing price: every prosumer prefers -s_max at "
-                "every price", eta_lo, eta_hi, -n * s_max, -n * s_max)
+                "no balancing price: every prosumer prefers -s_max at every "
+                f"price (eta range [{eta_lo:g}, {eta_hi:g}], "
+                f"excess [{-n * s_max:g}, {-n * s_max:g}])")
         reach = float(np.max(np.minimum(m_upper, chord)))
         if reach < eta_lo:
             eta_lo = max(reach / _BRACKET_WIDEN, math.ulp(0.0))

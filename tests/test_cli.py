@@ -228,7 +228,7 @@ class TestExitCodes:
     def test_solver_failure_exits_two(self, symmetric_config_path, monkeypatch,
                                       capsys):
         def boom(config, mode):
-            raise BracketFailure("synthetic", 1.0, 2.0, -1.0, -2.0)
+            raise BracketFailure("synthetic")
 
         monkeypatch.setattr(cli, "solve_dual", boom)
         monkeypatch.setattr("prosumer_market.experiments.solve_dual", boom)

@@ -1,20 +1,15 @@
 """Tests for the existence/uniqueness condition checks."""
 
 import numpy as np
-import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prosumer_market import (
-    DomainError,
     MODE_MODIFIED,
     MarketConfig,
-    SaturationWarning,
     case_study_spec,
     check_eq15,
-    check_eq18,
     check_eq21,
-    check_eq36,
     check_lemma1,
     eq15_bounds,
     evaluate_conditions,
@@ -43,23 +38,20 @@ class TestEq15:
         cfg = uniform_beta_config(2.5, 4.0, 11)
         mu = 2.5 / 20.0
         thetas = np.full(11, -mu * cfg.d_min)
-        quantities = np.zeros(11)
-        assert check_eq15(thetas, cfg, quantities).all()
+        assert check_eq15(thetas, cfg).all()
 
     def test_nonnegative_rival_sum_fails(self):
         # bounds cross whenever the rival bids sum >= 0
         cfg = uniform_beta_config(2.5, 4.0, 3)
         thetas = np.array([3.0, -1.0, -1.0])
-        quantities = np.array([
-            cfg.d_min + t / (1.0 / (3 * cfg.d_min)) for t in thetas])
-        got = check_eq15(thetas, cfg, quantities)
+        got = check_eq15(thetas, cfg)
         assert not got[1] and not got[2]
 
     def test_bounds_orientation(self):
         cfg = uniform_beta_config(2.5, 4.0, 11)
         mu = 2.5 / 20.0
         thetas = np.full(11, -mu * cfg.d_min)
-        lower, upper = eq15_bounds(thetas, cfg, np.zeros(11))
+        lower, upper = eq15_bounds(thetas, cfg)
         assert np.all(lower <= thetas)
         assert np.all(thetas <= upper)
         # right bound: rival sum with the epsilon margin
@@ -70,8 +62,6 @@ class TestEq18Eq21:
     def test_threshold_values(self):
         cfg = uniform_beta_config(0.6, 1.0, 11)
         # threshold = 5/0.6 - 10 = -1.6667
-        assert check_eq18(np.full(11, -1.0), cfg).all()
-        assert not check_eq18(np.full(11, -2.0), cfg).any()
         assert check_eq21(np.full(11, -1.0), cfg).all()
         assert not check_eq21(np.full(11, -2.0), cfg).any()
 
@@ -85,37 +75,9 @@ class TestEq18Eq21:
             cfg = uniform_beta_config(beta, 4.0, 11)
             assert check_eq21(np.full(11, cfg.d_min), cfg).all()
 
-    @given(
-        beta=st.floats(0.2, 6.0),
-        d_min=st.floats(0.2, 8.0),
-        n=st.integers(2, 20),
-        q=st.floats(-10.0, 30.0),
-    )
-    @settings(max_examples=300)
-    def test_eq18_equals_eq21_for_exponential_family(self, beta, d_min, n, q):
-        cfg = MarketConfig(n, d_min, 3.0, (beta,) * n)
-        quantities = np.full(n, q)
-        np.testing.assert_array_equal(
-            check_eq18(quantities, cfg), check_eq21(quantities, cfg))
-
-    @given(
-        beta=st.floats(0.2, 6.0),
-        d_min=st.floats(0.2, 8.0),
-        n=st.integers(2, 20),
-        q=st.floats(-10.0, 30.0),
-    )
-    @settings(max_examples=300)
-    # at the threshold 5*d_min/beta - (n-1)*d_min, which rounds to about 0
-    @example(beta=1 / 3, d_min=1.0, n=16, q=-1.9e-67)
-    def test_eq36_agrees_with_eq18(self, beta, d_min, n, q):
-        cfg = MarketConfig(n, d_min, 3.0, (beta,) * n)
-        quantities = np.full(n, q)
-        np.testing.assert_array_equal(
-            check_eq36(quantities, cfg), check_eq18(quantities, cfg))
-
 
 class TestContainment:
-    """Relation between the eq15 left bound and the eq18 threshold.
+    """Relation between the eq15 left bound and the eq18 (= eq21) threshold.
 
     For this utility family the bid region satisfying the eq15 left
     inequality is strictly inside the region satisfying eq18 (the two
@@ -138,17 +100,14 @@ class TestContainment:
         if theta_i + rival >= 0:
             return
         price = -(theta_i + rival) / (n * d_min)
-        q_i = d_min + theta_i / price
-        if cfg.utilities()[0].deriv(q_i) == 0.0:
-            return  # marginal underflow; the ratio S''/S' is undefined there
         thetas = np.zeros(n)
         thetas[0] = theta_i
         thetas[1:] = rival / (n - 1)
         quantities = np.array(
             [d_min + t / price for t in thetas])
-        lower, _ = eq15_bounds(thetas, cfg, quantities)
+        lower, _ = eq15_bounds(thetas, cfg)
         if lower[0] <= theta_i:
-            assert check_eq18(quantities, cfg)[0]
+            assert check_eq21(quantities, cfg)[0]
 
     def test_eq18_does_not_imply_eq15_left(self):
         # regression counterexample: beta=0.6, rivals sum -1, own bid 0
@@ -158,24 +117,24 @@ class TestContainment:
         thetas[1:] = -1.0 / (n - 1)
         price = 1.0 / (n * d_min)
         quantities = np.array([d_min + t / price for t in thetas])
-        assert check_eq18(quantities, cfg)[0]
-        lower, _ = eq15_bounds(thetas, cfg, quantities)
+        assert check_eq21(quantities, cfg)[0]
+        lower, _ = eq15_bounds(thetas, cfg)
         assert lower[0] > thetas[0]
 
 
 class TestDegenerateDerivatives:
-    # q=800 underflows the marginal to zero; q=-800 saturates the guard
+    # q=800 underflows the marginal to zero; q=-800 saturates the guard.
+    # Every check is closed-form in the bids and the eq21 threshold, so
+    # both points still get flags.
 
-    def test_eq15_rejects_vanished_marginal(self):
+    def test_conditions_defined_where_derivatives_degenerate(self):
         cfg = uniform_beta_config(5.0, 1.0, 2)
-        huge = np.array([800.0, -800.0])
-        with pytest.warns(SaturationWarning), pytest.raises(DomainError):
-            check_eq15(np.array([-1.0, -1.0]), cfg, huge)
-
-    def test_eq18_rejects_vanished_curvature(self):
-        cfg = uniform_beta_config(5.0, 1.0, 2)
-        with pytest.warns(SaturationWarning), pytest.raises(DomainError):
-            check_eq18(np.array([800.0, -800.0]), cfg)
+        report = evaluate_conditions(cfg, np.array([-1.0, -1.0]),
+                                     np.array([800.0, -800.0]))
+        np.testing.assert_array_equal(report.eq21_ok, [True, False])
+        assert report.eq18_ok is report.eq21_ok
+        assert report.eq36_ok is report.eq21_ok
+        assert not report.all_ok
 
 
 class TestAtSolvedEquilibria:

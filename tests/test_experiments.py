@@ -89,7 +89,7 @@ class TestRunSweep:
 
         def flaky(config, mode):
             if config.s_max == target:
-                raise BracketFailure("synthetic", 1.0, 2.0, -1.0, -2.0)
+                raise BracketFailure("synthetic")
             return real(config, mode)
 
         monkeypatch.setattr(experiments, "solve_dual", flaky)
