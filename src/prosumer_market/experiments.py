@@ -2,10 +2,11 @@
 
 The two case-study experiment families vary one market parameter while
 fixing the rest: the per-prosumer supply capacity s_max, or the
-per-prosumer inelastic demand d_min. Each sweep point is one
-equilibrium_report: both welfare programs solved, the true welfare of both
-allocations, the condition checks at the strategic allocation; its row
-counts the eq21 violations and becomes one CSV line.
+per-prosumer inelastic demand d_min. Each sweep point is what
+equilibrium_report gives at it: both welfare programs solved, the true
+welfare of both allocations and the eq21 violations at the strategic
+allocation, one CSV line. A sweep solves all its points of one program in
+one lockstep search over the stacked markets (solver._solve_stack).
 
 Four canonical 11-prosumer panels ship with the package:
 
@@ -28,9 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditions import ConditionReport, evaluate_conditions
-from .errors import BracketFailure, ConfigError, DomainError
-from .market import MarketConfig
-from .solver import MODE_MODIFIED, MODE_TRUE, SolveResult, solve_dual
+from .errors import ConfigError, DomainError
+from .market import (_EXP_CLAMP, MarketConfig, MarketStack, _utility,
+                     _warn_saturated, market_stack)
+from .solver import (MODE_MODIFIED, MODE_TRUE, SolveResult, _solve_stack,
+                     solve_dual)
 
 VARIABLE_CAPACITY = "s_max"
 VARIABLE_DEMAND = "d_min"
@@ -45,6 +48,9 @@ PANELS = ("capacity_bounded", "capacity_unbounded",
 
 # a sweep point is a paired solve; the case study uses 30 points per panel
 MAX_SWEEP_STEPS = 100_000
+# prosumer entries (points x prosumers) per stacked search of a sweep, which
+# bounds its memory at about 17 arrays of this many floats
+_STACK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -137,36 +143,71 @@ def equilibrium_report(config: MarketConfig) -> EquilibriumReport:
     )
 
 
-def _sweep_point(spec: SweepSpec, value: float) -> SweepRow:
-    config = spec.config_at(value)
-    total = config.n_prosumers * value
-    try:
-        report = equilibrium_report(config)
-    except BracketFailure as exc:
-        nan = float("nan")
-        return SweepRow(value, total, nan, nan, nan, 0, False, nan, nan,
-                        error=str(exc))
-    competitive, nash = report.competitive, report.nash
-    return SweepRow(
-        param_value=value,
-        total_param=total,
-        welfare_competitive=competitive.welfare_true,
-        welfare_nash=nash.welfare_true,
-        welfare_loss=report.welfare_loss,
-        eq21_violations=int(np.count_nonzero(~report.conditions.eq21_ok)),
-        non_concave_flag=nash.non_concave,
-        price_competitive=competitive.price,
-        price_nash=nash.price,
-    )
+def _sweep_stack(spec: SweepSpec, values: np.ndarray) -> MarketStack:
+    """The eta-independent terms of the sweep points at values, one row each."""
+    base = spec.base_config
+    if spec.variable == VARIABLE_CAPACITY:
+        return market_stack(base.betas, np.full(values.size, base.d_min),
+                            values)
+    return market_stack(base.betas, values, np.full(values.size, base.s_max))
+
+
+def _sweep_rows(spec: SweepSpec, values: np.ndarray, st: MarketStack,
+                competitive, nash) -> list[SweepRow]:
+    """One row per sweep point from the stacked solves of both programs.
+
+    A point whose solve failed gets the failure's message and nan values.
+    """
+    q_c, q_n = np.array(competitive.quantities), np.array(nash.quantities)
+    welfare_c = _utility(st.rates, st.offsets, q_c, warn=False).sum(
+        axis=1).tolist()
+    welfare_n = _utility(st.rates, st.offsets, q_n, warn=False).sum(
+        axis=1).tolist()
+    violations = np.count_nonzero(~(q_n >= st.thresholds), axis=1).tolist()
+    non_concave = np.array(nash.flags).any(axis=1).tolist()
+    n, nan, rows = spec.base_config.n_prosumers, float("nan"), []
+    for k, value in enumerate(values.tolist()):
+        error = competitive.errors[k] or nash.errors[k]
+        if error is not None:
+            rows.append(SweepRow(value, n * value, nan, nan, nan, 0, False,
+                                 nan, nan, error=error))
+            continue
+        rows.append(SweepRow(
+            param_value=value,
+            total_param=n * value,
+            welfare_competitive=welfare_c[k],
+            welfare_nash=welfare_n[k],
+            welfare_loss=welfare_c[k] - welfare_n[k],
+            eq21_violations=violations[k],
+            non_concave_flag=non_concave[k],
+            price_competitive=competitive.prices[k],
+            price_nash=nash.prices[k],
+        ))
+    return rows
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate every sweep point; rows follow the parameter order start->stop.
 
-    A BracketFailure marks its row with an error message instead of
-    aborting the sweep.
+    The points are solved in stacks of at most _STACK_ELEMENTS prosumer
+    entries (the whole case study is one stack per panel), each program of a
+    stack in one lockstep search; each row equals the one built from
+    equilibrium_report at its point. A BracketFailure marks its row with the
+    error message instead of aborting the sweep. Emits one SaturationWarning
+    when the exponent clamp engages at any point.
     """
-    return [_sweep_point(spec, float(v)) for v in spec.values()]
+    values = spec.values()
+    block = max(1, _STACK_ELEMENTS // spec.base_config.n_prosumers)
+    rows, saturated = [], False
+    for start in range(0, values.size, block):
+        chunk = values[start:start + block]
+        st = _sweep_stack(spec, chunk)
+        saturated = saturated or np.max(st.rates * st.s_max) > _EXP_CLAMP
+        rows += _sweep_rows(spec, chunk, st, _solve_stack(st, MODE_TRUE),
+                            _solve_stack(st, MODE_MODIFIED))
+    if saturated:
+        _warn_saturated(stacklevel=2)
+    return rows
 
 
 def _fmt(x: float) -> str:

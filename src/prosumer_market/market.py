@@ -34,6 +34,7 @@ whose derivative collapses to (1 + q/((n-1)*d_min)) * S'(q).
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -125,20 +126,81 @@ def _shading_length(n: int, d_min: float) -> float:
     return (n - 1) * d_min
 
 
-class NonConcaveTerms(NamedTuple):
-    """The eta-independent terms of the non-concave shaded inversion.
+class MarketStack(NamedTuple):
+    """The eta-independent terms of m markets that share n prosumers' betas.
 
-    mask marks the prosumers whose shaded curve is not concave on
-    [-s_max, q_upper] (eq21 threshold above -s_max); every other field holds
-    their entries only.
+    Row k holds market k: its d_min and s_max as (m, 1) columns, and every
+    per-(market, prosumer) term as an (m, n) array, computed elementwise in
+    the same operations for one market as for many, so that a row of a
+    stack equals the stack of its market alone. The bounds and the shading
+    length are stored at full (m, n) shape, which numpy combines faster
+    than a broadcast column. The non-concave prosumers (eq21 threshold
+    above -s_max) are marked in non_concave; antideriv_dmin, utility_lo and
+    peak_marginal are their terms and hold no meaning for the others.
     """
 
-    mask: np.ndarray
-    rates: np.ndarray
-    offsets: np.ndarray
+    d_min: np.ndarray  # (m, 1)
+    s_max: np.ndarray  # (m, 1)
+    log_lengths: np.ndarray  # (m, 1), ln L
+    log_price0: np.ndarray  # (m,), ln of the all-free competitive price
+    q_lower: np.ndarray  # -s_max
+    q_upper: np.ndarray  # (N-1)*s_max
+    lengths: np.ndarray  # the shading length L = (N-1)*d_min
+    rates: np.ndarray  # r = beta/(5*d_min)
+    log_rates: np.ndarray  # ln r
+    inv_rates: np.ndarray  # 1/r
+    rate_lengths: np.ndarray  # r*L
+    offsets: np.ndarray  # exp(-beta/5)
+    thresholds: np.ndarray  # eq21 threshold 5*d_min/beta - L
+    non_concave: np.ndarray  # threshold above -s_max
     antideriv_dmin: np.ndarray  # A(d_min)
     utility_lo: np.ndarray  # S_mod(-s_max)
     peak_marginal: np.ndarray  # S_mod' at the threshold clipped to q_upper
+
+
+def market_stack(betas, d_min, s_max) -> MarketStack:
+    """Stack the eta-independent terms of the markets (betas, d_min[k], s_max[k]).
+
+    d_min and s_max are sequences of one value per market. The non-concave
+    terms are evaluated at q_upper for the concave prosumers, where every
+    exponent is small, so that no stack entry overflows.
+    """
+    b = np.asarray(betas, dtype=float)
+    n = b.size
+    d = np.asarray(d_min, dtype=float).reshape(-1, 1)
+    s = np.asarray(s_max, dtype=float).reshape(-1, 1)
+    rates = b / (5.0 * d)
+
+    def full(column):
+        return np.broadcast_to(column, rates.shape).copy()
+
+    lo, hi = full(-s), full((n - 1) * s)
+    L = full(_shading_length(n, d))
+    log_rates = np.log(rates)
+    inv_rates = 1.0 / rates
+    offsets = full(np.exp(-b / 5.0))
+    thresholds = 5.0 * d / b - (n - 1) * d
+    nc = thresholds > lo
+    a_dmin = _antideriv(rates, offsets, d, warn=False)
+    utility_lo = _shaded_utility(rates, offsets, L, d, np.where(nc, lo, hi),
+                                 warn=False, antideriv_dmin=a_dmin)
+    # where the exponent clamp engages at a steep prosumer's peak, its
+    # marginal exceeds the float range and reads inf, above every price
+    with np.errstate(over="ignore"):
+        peak_marginal = _shaded_marginal(
+            rates, L, np.where(nc, np.minimum(thresholds, hi), hi),
+            warn=False)
+    # the all-free competitive price solves sum (ln r - ln eta)/r = 0; one
+    # np.dot per market keeps its sum order
+    log_price0 = np.array([np.dot(lr, ir) for lr, ir in zip(log_rates,
+                                                          inv_rates)])
+    log_price0 /= inv_rates.sum(axis=1)
+    # math.log per market, as the search takes the log of each eta
+    log_lengths = np.array([[math.log(v)] for v in L[:, 0].tolist()])
+    return MarketStack(*map(_frozen, (
+        d, s, log_lengths, log_price0, lo, hi, L, rates, log_rates,
+        inv_rates, rates * L, offsets, thresholds, nc, a_dmin, utility_lo,
+        peak_marginal)))
 
 
 class ExponentialUtility:
@@ -181,7 +243,8 @@ class MarketConfig:
     betas are the per-prosumer utility steepness parameters. eps_price is
     the operator's positive-price margin (defaults to the scale-aware
     1e-9 * N * d_min), tol_root the balance/root tolerance and tol_kkt the
-    stationarity-residual tolerance.
+    stationarity-residual tolerance; neither tolerance may lie below the
+    float resolution sys.float_info.epsilon.
     """
 
     n_prosumers: int
@@ -210,19 +273,29 @@ class MarketConfig:
                 self, "eps_price", 1e-9 * self.n_prosumers * self.d_min)
         for name in ("eps_price", "tol_root", "tol_kkt"):
             _require_positive(name, getattr(self, name))
+        for name in ("tol_root", "tol_kkt"):
+            if getattr(self, name) < sys.float_info.epsilon:
+                raise DomainError(
+                    f"{name} must be at least the float resolution "
+                    f"{sys.float_info.epsilon:g}, got {getattr(self, name)}")
 
     def utilities(self) -> tuple[ExponentialUtility, ...]:
         return tuple(ExponentialUtility(b, self.d_min) for b in self.betas)
 
     @cached_property
+    def stack(self) -> MarketStack:
+        """The eta-independent terms of this market as a stack of one."""
+        return market_stack(self.betas, (self.d_min,), (self.s_max,))
+
+    @cached_property
     def rates(self) -> np.ndarray:
         """Per-prosumer exponential rates r_i = beta_i / (5*d_min)."""
-        return _frozen(np.asarray(self.betas) / (5.0 * self.d_min))
+        return self.stack.rates[0]
 
     @cached_property
     def offsets(self) -> np.ndarray:
         """Per-prosumer constants exp(-beta_i/5), so that S_i(d_min) = 0."""
-        return _frozen(np.exp(-np.asarray(self.betas) / 5.0))
+        return self.stack.offsets[0]
 
     @cached_property
     def concavity_thresholds(self) -> np.ndarray:
@@ -230,34 +303,7 @@ class MarketConfig:
 
         The shaded curve of prosumer i is concave exactly at and above it.
         """
-        return _frozen(5.0 * self.d_min / np.asarray(self.betas)
-                       - (self.n_prosumers - 1) * self.d_min)
-
-    @cached_property
-    def log_rates(self) -> np.ndarray:
-        """Per-prosumer ln r_i."""
-        return _frozen(np.log(self.rates))
-
-    @cached_property
-    def rate_lengths(self) -> np.ndarray:
-        """Per-prosumer r_i*L, the rate times the shading length (N-1)*d_min."""
-        return _frozen(
-            self.rates * _shading_length(self.n_prosumers, self.d_min))
-
-    @cached_property
-    def non_concave_terms(self) -> NonConcaveTerms:
-        """The shaded inversion's eta-independent terms, non-concave prosumers."""
-        lo = -self.s_max
-        mask = _frozen(self.concavity_thresholds > lo)
-        r, offset = self.rates[mask], self.offsets[mask]
-        L = _shading_length(self.n_prosumers, self.d_min)
-        a_dmin = _antideriv(r, offset, self.d_min, warn=False)
-        peak = np.minimum(self.concavity_thresholds[mask], self.q_upper)
-        return NonConcaveTerms(
-            mask, _frozen(r), _frozen(offset), _frozen(a_dmin),
-            _frozen(_shaded_utility(r, offset, L, self.d_min, lo, warn=False,
-                                    antideriv_dmin=a_dmin)),
-            _frozen(_shaded_marginal(r, L, peak, warn=False)))
+        return self.stack.thresholds[0]
 
     @property
     def q_upper(self) -> float:

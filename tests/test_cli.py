@@ -150,6 +150,15 @@ class TestExitCodes:
         assert cli_main(["solve", "--config", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_tolerance_below_float_resolution_rejected(self, tmp_path,
+                                                       capsys):
+        path = tmp_path / "tiny_tol.json"
+        path.write_text(json.dumps({
+            "n_prosumers": 2, "d_min": 1.0, "s_max": 1.0, "betas": [2.0, 3.0],
+            "tolerances": {"tol_root": 1e-30}}), encoding="utf-8")
+        assert cli_main(["solve", "--config", str(path)]) == 1
+        assert "tol_root" in capsys.readouterr().err
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "extra.json"
         path.write_text(json.dumps({

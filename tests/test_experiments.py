@@ -1,6 +1,7 @@
 """Tests for sweeps, CSV emission and config ingestion."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,11 @@ from prosumer_market import (
     BracketFailure,
     ConfigError,
     DomainError,
+    MODE_MODIFIED,
+    MODE_TRUE,
     MarketConfig,
+    SaturationWarning,
+    SweepRow,
     SweepSpec,
     case_study_spec,
     emit_csv,
@@ -19,8 +24,10 @@ from prosumer_market import (
     equilibrium_report,
     load_config_file,
     run_sweep,
+    solve_dual,
 )
-from prosumer_market import experiments
+from prosumer_market import experiments, solver
+from prosumer_market.market import MarketStack
 
 
 @pytest.fixture(scope="module")
@@ -82,21 +89,140 @@ class TestRunSweep:
         spec = case_study_spec("capacity_bounded", steps=4)
         assert run_sweep(spec) == run_sweep(spec)
 
-    def test_bracket_failure_marks_row_without_aborting(self, monkeypatch):
-        spec = case_study_spec("capacity_bounded", steps=3)
-        real = experiments.solve_dual
-        target = float(spec.values()[1])
-
-        def flaky(config, mode):
-            if config.s_max == target:
-                raise BracketFailure("synthetic")
-            return real(config, mode)
-
-        monkeypatch.setattr(experiments, "solve_dual", flaky)
+    def test_bracket_failure_marks_row_without_aborting(self):
+        # from s_max = 3.0 on, both prosumers prefer -s_max at every price
+        spec = SweepSpec("s_max", 0.2, 4.0, 20,
+                         MarketConfig(2, 1.0, 1.0, (2.0, 3.0)))
         rows = run_sweep(spec)
-        assert rows[1].error is not None
-        assert np.isnan(rows[1].welfare_loss)
-        assert rows[0].error is None and rows[2].error is None
+        assert [r.error is None for r in rows] == [True] * 14 + [False] * 6
+        assert rows[13].param_value == pytest.approx(2.8)
+        assert rows[14].param_value == pytest.approx(3.0)
+        for row in rows[14:]:
+            assert np.isnan(row.welfare_loss)
+            with pytest.raises(BracketFailure) as exc:
+                solve_dual(spec.config_at(row.param_value), MODE_MODIFIED)
+            assert row.error == str(exc.value)
+        assert all(np.isfinite(r.welfare_loss) for r in rows[:14])
+
+
+def _point_row(spec, value):
+    """The sweep row of one point, built from its own equilibrium_report."""
+    config = spec.config_at(value)
+    total = config.n_prosumers * value
+    try:
+        report = equilibrium_report(config)
+    except BracketFailure as exc:
+        nan = float("nan")
+        return SweepRow(value, total, nan, nan, nan, 0, False, nan, nan,
+                        error=str(exc))
+    return SweepRow(
+        param_value=value,
+        total_param=total,
+        welfare_competitive=report.competitive.welfare_true,
+        welfare_nash=report.nash.welfare_true,
+        welfare_loss=report.welfare_loss,
+        eq21_violations=int(np.count_nonzero(~report.conditions.eq21_ok)),
+        non_concave_flag=report.nash.non_concave,
+        price_competitive=report.competitive.price,
+        price_nash=report.nash.price,
+    )
+
+
+def _assert_rows_equal(rows, expected):
+    # repr round-trips every float, so equal reprs are equal bits (nan too)
+    assert [repr(r) for r in rows] == [repr(r) for r in expected]
+
+
+def _random_specs():
+    """Seeded sweeps over concave, non-concave, gap and steep-beta points."""
+    rng = np.random.default_rng(7)
+    specs = []
+    for steep in (False, False, False, True):
+        n = int(rng.integers(2, 7))
+        d_min = float(rng.uniform(0.3, 3.0))
+        betas = tuple(rng.uniform(0.3, 4.0, n))
+        if steep:
+            betas = (1e3, 1e4) + betas[2:]
+        s_top = float(rng.uniform(1.5, 3.0) * (n - 1) * d_min)
+        base = MarketConfig(n, d_min, s_top, betas)
+        specs.append(SweepSpec("s_max", 0.05 * s_top, s_top, 25, base))
+        specs.append(SweepSpec("d_min", 3.0 * d_min, 0.2 * d_min, 25, base))
+    return specs
+
+
+@pytest.mark.filterwarnings("ignore::prosumer_market.SaturationWarning")
+class TestBatchComposition:
+    """A sweep point's row does not depend on the points stacked with it."""
+
+    @pytest.mark.parametrize("panel", PANELS)
+    def test_panel_rows_equal_per_point_reports(self, panel):
+        spec = case_study_spec(panel, steps=30)
+        _assert_rows_equal(run_sweep(spec), [
+            _point_row(spec, float(v)) for v in spec.values()])
+
+    @pytest.mark.parametrize("start, stop", [(0.2, 4.0), (4.0, 0.2)],
+                             ids=["failures-last", "failures-first"])
+    def test_failing_sweep_rows_equal_per_point_reports(self, start, stop):
+        spec = SweepSpec("s_max", start, stop, 20,
+                         MarketConfig(2, 1.0, 1.0, (2.0, 3.0)))
+        _assert_rows_equal(run_sweep(spec), [
+            _point_row(spec, float(v)) for v in spec.values()])
+
+    def test_random_sweep_rows_equal_per_point_reports(self):
+        kinds = set()
+        for spec in _random_specs():
+            _assert_rows_equal(run_sweep(spec), [
+                _point_row(spec, float(v)) for v in spec.values()])
+            for value in spec.values():
+                config = spec.config_at(float(value))
+                try:
+                    nash = solve_dual(config, MODE_MODIFIED)
+                except BracketFailure:
+                    kinds.add("failure")
+                    continue
+                kinds.add("non-concave" if nash.non_concave else "concave")
+                if not nash.converged:
+                    kinds.add("gap")
+                if max(config.betas) >= 1e3:
+                    kinds.add("steep")
+        assert kinds >= {"concave", "non-concave", "gap", "steep"}
+
+    def test_blocked_sweep_equals_one_stack(self, monkeypatch):
+        # 33 entries hold 3 of the 11-prosumer points per stacked search
+        spec = case_study_spec("capacity_unbounded", steps=30)
+        whole = run_sweep(spec)
+        monkeypatch.setattr(experiments, "_STACK_ELEMENTS", 33)
+        _assert_rows_equal(run_sweep(spec), whole)
+
+    def test_sweep_warns_once_when_saturated(self, monkeypatch):
+        # r*s_max > 700 at every point of all three stacks of two points
+        monkeypatch.setattr(experiments, "_STACK_ELEMENTS", 6)
+        spec = SweepSpec("s_max", 1.0, 2.0, 6,
+                         MarketConfig(3, 1.0, 1.0, (1e4,) * 3))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_sweep(spec)
+        assert sum(issubclass(w.category, SaturationWarning)
+                   for w in caught) == 1
+
+    @pytest.mark.parametrize("mode", [MODE_TRUE, MODE_MODIFIED])
+    def test_subset_stack_equals_full_stack_rows(self, mode):
+        rng = np.random.default_rng(3)
+        specs = [case_study_spec(p, steps=30) for p in PANELS]
+        for spec in specs + _random_specs():
+            stack = experiments._sweep_stack(spec, spec.values())
+            full = solver._solve_stack(stack, mode)
+            rows = np.sort(rng.choice(spec.steps, spec.steps // 3,
+                                      replace=False))
+            sub = solver._solve_stack(
+                MarketStack(*(field[rows] for field in stack)), mode)
+            np.testing.assert_array_equal(
+                sub.quantities, np.array(full.quantities)[rows])
+            np.testing.assert_array_equal(sub.flags,
+                                          np.array(full.flags)[rows])
+            for name in ("prices", "totals", "iterations", "errors"):
+                expected = [getattr(full, name)[k] for k in rows]
+                assert repr(getattr(sub, name)) == repr(expected), name
 
 
 class TestEmitCsv:
@@ -250,6 +376,12 @@ class TestLoadConfigFile:
                             "steps": 4}
         payload["sweep"][key] = value
         with pytest.raises(ConfigError, match=key):
+            load_config_file(self.write(tmp_path, payload))
+
+    def test_tolerance_below_float_resolution_rejected(self, tmp_path):
+        payload = self.base_payload()
+        payload["tolerances"] = {"tol_root": 1e-30}
+        with pytest.raises(ConfigError, match="tol_root"):
             load_config_file(self.write(tmp_path, payload))
 
     def test_non_numeric_tolerance_rejected(self, tmp_path):

@@ -1,6 +1,7 @@
 """Tests for the market domain model: bids, clearing, utility curves."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -250,6 +251,14 @@ class TestMarketConfig:
     def test_rejects_beta_length_mismatch(self):
         with pytest.raises(DomainError):
             MarketConfig(3, 1.0, 1.0, (1.0, 2.0))
+
+    @pytest.mark.parametrize("field", ["tol_root", "tol_kkt"])
+    def test_rejects_tolerance_below_float_resolution(self, field):
+        with pytest.raises(DomainError, match=field):
+            MarketConfig(2, 1.0, 1.0, (2.0, 3.0), **{field: 1e-30})
+        cfg = MarketConfig(2, 1.0, 1.0, (2.0, 3.0),
+                           **{field: sys.float_info.epsilon})
+        assert getattr(cfg, field) == sys.float_info.epsilon
 
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])

@@ -1,5 +1,6 @@
 """Tests for the dual-decomposition equilibrium solver."""
 
+import collections
 import math
 import sys
 import warnings
@@ -31,7 +32,9 @@ from prosumer_market import (
     solve_dual,
     welfare,
 )
-from prosumer_market import solver
+from prosumer_market import experiments, solver
+from prosumer_market.market import (MarketStack, _shaded_curvature,
+                                    market_stack)
 from prosumer_market.solver import _shaded_root
 
 
@@ -119,7 +122,9 @@ def _brentq_root(beta, d_min, n, eta, lo, hi):
 def _falling_root(r, L, eta):
     """solver._shaded_root for plain arrays of rates and one shading length."""
     r = np.asarray(r, dtype=float)
-    return _shaded_root(r, np.log(r), r * L, L, eta)
+    log_eta = math.log(eta)
+    return _shaded_root(r, np.log(r), r * L, L, log_eta,
+                        log_eta + math.log(L) + 1.0)
 
 
 class TestInverseAgainstBrentq:
@@ -827,32 +832,40 @@ class TestOnDemandBracket:
 
     @pytest.fixture
     def etas(self, monkeypatch):
-        seen = []
-        for name in ("marginal_inverse_true", "marginal_inverse_modified"):
+        """Every evaluated eta, keyed by the (d_min, s_max) of its market."""
+        seen = collections.defaultdict(list)
+        for name in ("_inverse_true", "_inverse_modified"):
             inverse = getattr(solver, name)
 
-            def counted(config, eta, inverse=inverse):
-                seen.append(eta)
-                return inverse(config, eta)
+            def counted(stack, eta, *args, inverse=inverse):
+                # eta is an (m, 1) column, or a float for a stack of one
+                for key in zip(stack.d_min[:, 0].tolist(),
+                               stack.s_max[:, 0].tolist(),
+                               np.ravel(eta).tolist()):
+                    seen[key[:2]].append(key[2])
+                return inverse(stack, eta, *args)
 
             monkeypatch.setattr(solver, name, counted)
         return seen
 
     def test_iterations_count_every_evaluation(self, etas):
+        # each panel and mode is one lockstep search over the stacked points
         gap_rows = 0
         for panel in PANELS:
             spec = case_study_spec(panel, steps=30)
-            for value in spec.values():
-                cfg = spec.config_at(float(value))
-                for mode in (MODE_TRUE, MODE_MODIFIED):
-                    etas.clear()
-                    res = solve_dual(cfg, mode)
+            stack = experiments._sweep_stack(spec, spec.values())
+            for mode in (MODE_TRUE, MODE_MODIFIED):
+                etas.clear()
+                batch = solver._solve_stack(stack, mode)
+                for k, value in enumerate(spec.values()):
+                    cfg = spec.config_at(float(value))
                     key = (panel, float(value), mode)
-                    assert len(etas) == res.iterations, key
-                    gap_rows += not res.converged
+                    seen = etas[(cfg.d_min, cfg.s_max)]
+                    assert len(seen) == batch.iterations[k], key
+                    gap_rows += abs(batch.totals[k]) > cfg.tol_root
                     bottom, top = _closed_form_bracket(cfg, mode)
-                    assert bottom * (1 + 1e-9) < min(etas), key
-                    assert max(etas) < top * (1 - 1e-9), key
+                    assert bottom * (1 + 1e-9) < min(seen), key
+                    assert max(seen) < top * (1 - 1e-9), key
         # the s_max=4.5 Nash row is the one unbalanced solve
         assert gap_rows == 1
 
@@ -864,7 +877,38 @@ class TestOnDemandBracket:
         with pytest.raises(BracketFailure,
                            match="every prosumer prefers -s_max") as err:
             solve_dual(cfg, MODE_MODIFIED)
-        assert etas == []
+        assert not etas
         eta_lo, eta_hi = _closed_form_bracket(cfg, MODE_MODIFIED)
         assert str(err.value).endswith(
             f"(eta range [{eta_lo:g}, {eta_hi:g}], excess [-8, -8])")
+
+
+class TestLockstepSlopes:
+    """Each market's slope sum is the one numpy gives for that market alone."""
+
+    @pytest.mark.parametrize("shaded", [False, True], ids=["true", "shaded"])
+    def test_slopes_equal_per_market_sums(self, shaded):
+        rng = np.random.default_rng(4)
+        for n in (3, 11, 40, 200):
+            stack = market_stack(rng.uniform(0.5, 4.0, n),
+                                 rng.uniform(0.5, 3.0, 25),
+                                 rng.uniform(0.2, 3.0, 25))
+            lo, hi = stack.q_lower, stack.q_upper
+            # about a third of the entries sit on a bound
+            q = np.where(rng.random(lo.shape) < 0.3, lo,
+                         rng.uniform(lo, np.minimum(hi, 5.0)))
+            free = (q > lo) & (q < hi)
+            expected = []
+            for k in range(len(q)):
+                if shaded:
+                    curvature = _shaded_curvature(
+                        stack.rates[k][free[k]], float(stack.lengths[k, 0]),
+                        q[k][free[k]], warn=False)
+                    expected.append(float(np.sum(1.0 / curvature)))
+                else:
+                    expected.append(-float(np.sum(
+                        stack.inv_rates[k][free[k]])))
+            assert solver._slopes(stack, q, free, shaded) == expected
+            assert [solver._slopes(
+                MarketStack(*(field[[k]] for field in stack)), q[[k]],
+                free[[k]], shaded)[0] for k in range(len(q))] == expected
