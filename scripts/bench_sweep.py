@@ -2,13 +2,13 @@
 """Time the case-study sweep and batch-of-one reports; write a BENCH json.
 
 Usage:
-    python scripts/bench_sweep.py [--src SRC] [--label NAME] [--rounds 30]
-                                  [--out BENCH_batched_sweep.json]
+    python scripts/bench_sweep.py [--src SRC] [--label NAME]
 
 The script imports prosumer_market from SRC (default: the src/ directory of
 this tree), so the same script measures another checkout, such as a parent
 commit, by pointing --src at that checkout's src/. It records, under
-runs[NAME] of the output file (other runs in the file are kept):
+runs[NAME] of BENCH_batched_sweep.json at the root of this tree (other runs
+in the file are kept):
 
   * case_study_round_ms: one in-process case-study round, the four shipped
     panels at 30 steps through run_sweep, emit_csv and emit_gnuplot;
@@ -22,7 +22,7 @@ runs[NAME] of the output file (other runs in the file are kept):
     goes through the search as a stack of one;
   * the Python and numpy versions and the CPU count of the host.
 
-Timings are medians and quartiles over --rounds samples, taken after one
+Timings are medians and quartiles over ROUNDS samples, taken after one
 untimed warm-up round; every sample is a whole round or a whole report.
 """
 
@@ -37,8 +37,12 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+OUT = ROOT / "BENCH_batched_sweep.json"
 STEPS = 30
 LARGE_SIZES = (200, 250, 300)
+# timed samples per measurement, and the seed of the batch-of-one markets
+ROUNDS = 30
+SEED = 1
 
 
 def _summary(samples_s):
@@ -76,17 +80,17 @@ def _phased_round(pm, specs, out_dir, times):
             times[key] += dt
 
 
-def _timed(fn, rounds):
+def _timed(fn):
     fn()
     samples = []
-    for _ in range(rounds):
+    for _ in range(ROUNDS):
         t0 = time.perf_counter()
         fn()
         samples.append(time.perf_counter() - t0)
     return _summary(samples)
 
 
-def measure(pm, rounds: int, seed: int) -> dict:
+def measure(pm) -> dict:
     import numpy as np
 
     specs = {p: pm.case_study_spec(p, steps=STEPS) for p in pm.PANELS}
@@ -94,13 +98,13 @@ def measure(pm, rounds: int, seed: int) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         out_dir = Path(tmp)
         result = {"case_study_round_ms": _timed(
-            lambda: _round(pm, specs, out_dir), rounds)}
+            lambda: _round(pm, specs, out_dir))}
         phases = passes = None
         if stacked:
             samples = {k: [] for k in ("stack_build", "search",
                                        "row_assembly", "emit")}
             _phased_round(pm, specs, out_dir, dict.fromkeys(samples, 0.0))
-            for _ in range(rounds):
+            for _ in range(ROUNDS):
                 times = dict.fromkeys(samples, 0.0)
                 _phased_round(pm, specs, out_dir, times)
                 for key, dt in times.items():
@@ -117,19 +121,18 @@ def measure(pm, rounds: int, seed: int) -> dict:
                         "excess_evaluations": sum(batch.iterations)}
         result["phases_ms"] = phases
         result["passes"] = passes
-    rng = np.random.default_rng([seed, 2])
+    rng = np.random.default_rng([SEED, 2])
     reports = {}
     for n in LARGE_SIZES:
         config = pm.MarketConfig(n, d_min=4.0, s_max=1.6,
                                  betas=tuple(rng.uniform(1.5, 3.5, n)))
-        reports[str(n)] = _timed(lambda: pm.equilibrium_report(config),
-                                 rounds)
+        reports[str(n)] = _timed(lambda: pm.equilibrium_report(config))
     result["equilibrium_report_ms"] = reports
     result["host"] = {"python": platform.python_version(),
                       "numpy": np.__version__, "cpu_count": os.cpu_count(),
                       "machine": platform.machine()}
-    result["rounds"] = rounds
-    result["seed"] = seed
+    result["rounds"] = ROUNDS
+    result["seed"] = SEED
     return result
 
 
@@ -139,15 +142,7 @@ def main(argv=None) -> int:
                         help="directory holding the prosumer_market package")
     parser.add_argument("--label", default="this_tree",
                         help="name of this run in the output file")
-    parser.add_argument("--rounds", type=int, default=30,
-                        help="timed samples per measurement")
-    parser.add_argument("--seed", type=int, default=1,
-                        help="seed of the batch-of-one markets")
-    parser.add_argument("--out", type=Path,
-                        default=ROOT / "BENCH_batched_sweep.json")
     args = parser.parse_args(argv)
-    if args.rounds < 2:
-        parser.error("--rounds must be at least 2")
     src = args.src.resolve()
     if not (src / "prosumer_market" / "__init__.py").is_file():
         parser.error(f"no prosumer_market package under {src}")
@@ -156,11 +151,11 @@ def main(argv=None) -> int:
     import prosumer_market.experiments  # noqa: F401
     import prosumer_market.solver  # noqa: F401
 
-    result = measure(pm, args.rounds, args.seed)
-    bench = json.loads(args.out.read_text()) if args.out.is_file() else {}
+    result = measure(pm)
+    bench = json.loads(OUT.read_text()) if OUT.is_file() else {}
     bench.setdefault("script", "scripts/bench_sweep.py")
     bench.setdefault("runs", {})[args.label] = result
-    args.out.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
+    OUT.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
     round_ms = result["case_study_round_ms"]
     print(f"{args.label}: case-study round {round_ms['median']:.2f} ms "
           f"(q1 {round_ms['q1']:.2f}, q3 {round_ms['q3']:.2f}); "

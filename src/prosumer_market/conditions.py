@@ -25,8 +25,10 @@ used consistently here, in reports and in the sweep CSVs:
           (r*exp(-r*q)/L) * (1 - r*(q + L)) <= 0, which holds exactly at
           and above the eq21 threshold.
 
-check_eq21 is the one threshold comparison; reports carry eq18 and eq36
-under their own names, read from the eq21 flags.
+_eq21_ok is the one threshold comparison: check_eq21 applies it to one
+market, the solver's non-concave flags and the sweep rows to a stack of
+markets. Reports carry eq18 and eq36 under their own names, read from the
+eq21 flags.
 
 All checks are pure and evaluated pointwise at the candidate, not over the
 whole strategy space.
@@ -110,9 +112,19 @@ def check_eq15(thetas, config: MarketConfig) -> np.ndarray:
     return (lower <= t) & (t <= upper)
 
 
+def _eq21_ok(quantities: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Elementwise q_i >= eq21 threshold_i.
+
+    Takes one market's quantities and MarketConfig.concavity_thresholds,
+    or a stack's (m, n) quantities and MarketStack.thresholds.
+    """
+    return quantities >= thresholds
+
+
 def check_eq21(quantities, config: MarketConfig) -> np.ndarray:
     """Uniqueness threshold q_i >= 5*d_min/beta_i - d_min*(N-1) at each point."""
-    return np.asarray(quantities, dtype=float) >= config.concavity_thresholds
+    return _eq21_ok(np.asarray(quantities, dtype=float),
+                    config.concavity_thresholds)
 
 
 def evaluate_conditions(config: MarketConfig, thetas,

@@ -28,12 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import ConditionReport, evaluate_conditions
+from .conditions import ConditionReport, _eq21_ok, evaluate_conditions
 from .errors import ConfigError, DomainError
-from .market import (_EXP_CLAMP, MarketConfig, MarketStack, _utility,
-                     _warn_saturated, market_stack)
+from .market import (_EXP_CLAMP, MarketConfig, MarketStack, _warn_saturated,
+                     market_stack)
 from .solver import (MODE_MODIFIED, MODE_TRUE, SolveResult, _solve_stack,
-                     solve_dual)
+                     _welfares, solve_dual)
 
 VARIABLE_CAPACITY = "s_max"
 VARIABLE_DEMAND = "d_min"
@@ -156,14 +156,15 @@ def _sweep_rows(spec: SweepSpec, values: np.ndarray, st: MarketStack,
                 competitive, nash) -> list[SweepRow]:
     """One row per sweep point from the stacked solves of both programs.
 
-    A point whose solve failed gets the failure's message and nan values.
+    The welfares and eq21 flags come from the stacked forms of
+    solver.welfare and conditions.check_eq21. A point whose solve failed
+    gets the failure's message and nan values.
     """
-    q_c, q_n = np.array(competitive.quantities), np.array(nash.quantities)
-    welfare_c = _utility(st.rates, st.offsets, q_c, warn=False).sum(
-        axis=1).tolist()
-    welfare_n = _utility(st.rates, st.offsets, q_n, warn=False).sum(
-        axis=1).tolist()
-    violations = np.count_nonzero(~(q_n >= st.thresholds), axis=1).tolist()
+    q_n = np.array(nash.quantities)
+    welfare_c = _welfares(st, np.array(competitive.quantities)).tolist()
+    welfare_n = _welfares(st, q_n).tolist()
+    violations = np.count_nonzero(~_eq21_ok(q_n, st.thresholds),
+                                  axis=1).tolist()
     non_concave = np.array(nash.flags).any(axis=1).tolist()
     n, nan, rows = spec.base_config.n_prosumers, float("nan"), []
     for k, value in enumerate(values.tolist()):

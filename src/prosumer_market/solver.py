@@ -66,6 +66,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .conditions import _eq21_ok
 from .errors import BracketFailure, DomainError
 from .market import (_EXP_CLAMP, Allocation, MarketConfig, MarketStack,
                      _marginal, _shaded_curvature, _shaded_marginal,
@@ -193,8 +194,9 @@ def _inverse_modified(st: MarketStack, eta, log_eta, shift,
             & (lagrangian_fall >= st.utility_lo - eta * lo))
     q = np.where(nc & ~keep, lo, q)
     # S_mod'' = (r*exp(-r*q)/L)*(1 - r*(q + L)) is positive exactly below
-    # the eq21 threshold 1/r - L
-    return q, nc & (q < st.thresholds)
+    # the eq21 threshold 1/r - L, which lies below every q of a concave
+    # prosumer
+    return q, ~_eq21_ok(q, st.thresholds)
 
 
 def _column(values: list):
@@ -536,10 +538,15 @@ def recover_bids(allocation: Allocation, d_min: float) -> np.ndarray:
     return allocation.dual_price * (allocation.quantities - d_min)
 
 
+def _welfares(st: MarketStack, q: np.ndarray, warn: bool = False):
+    """Per market of the stack st, the true welfare of its row of q."""
+    return _utility(st.rates, st.offsets, q, warn=warn).sum(axis=1)
+
+
 def welfare(config: MarketConfig, quantities) -> float:
     """True aggregate welfare sum_i S_i(q_i); may legitimately be negative."""
     q = np.asarray(quantities, dtype=float)
     if q.shape != (config.n_prosumers,):
         raise DomainError(
             f"expected {config.n_prosumers} quantities, got shape {q.shape}")
-    return float(np.sum(_utility(config.rates, config.offsets, q)))
+    return float(_welfares(config.stack, q[None], warn=True)[0])
