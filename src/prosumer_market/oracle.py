@@ -11,8 +11,11 @@ Two routes:
     capacity-bounded simplex slice, with zoom passes to sharpen the
     returned grid point.
 
-Both are deliberately independent of the marginal-inversion machinery in
-the solver module.
+Both scan their grids in blocks of at most _BLOCK cells and keep the first
+maximum, as np.argmax over the whole grid would, so memory does not grow
+with the grid. Each call issues at most one SaturationWarning. Both are
+deliberately independent of the marginal-inversion machinery in the solver
+module.
 """
 
 from __future__ import annotations
@@ -23,14 +26,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, TooLarge, UnboundedPayoff
-from .market import (Allocation, MarketConfig, _marginal, _shaded_marginal,
-                     _shaded_utility, _shading_length, _utility)
+from .market import (_EXP_CLAMP, Allocation, MarketConfig, _antideriv,
+                     _marginal, _shaded_marginal, _shaded_utility,
+                     _shading_length, _utility, _warn_saturated)
 from .solver import MODE_TRUE, MODES
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# a grid of this many points takes about 80 MB per array; it caps the
-# best-response grid and the brute-force grid over all free dimensions
+# caps the best-response grid and the brute-force grid over all free
+# dimensions; the scans are blocked, so the cap bounds time, not memory
 MAX_GRID_POINTS = 10_000_000
+# grid cells a scan evaluates at once: 64 KB per float64 temporary, which
+# stays in cache and below glibc's mmap threshold
+_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -48,12 +55,72 @@ class BestResponseResult:
     gap: float
 
 
+class _Curves:
+    """The prosumers' curves for one verifier call, evaluated without warnings.
+
+    S_i in the true mode, else S_mod,i. Each evaluation records the lowest q
+    prosumer i was evaluated at, where its exponent -r*q peaks, so warn()
+    issues the call's one SaturationWarning exactly when the clamp engaged.
+    """
+
+    def __init__(self, config: MarketConfig, mode: str):
+        self.rates, self.offsets = config.rates, config.offsets
+        self.q_min = np.full(config.n_prosumers, np.inf)
+        self.shaded = mode != MODE_TRUE
+        if self.shaded:
+            self.d_min = config.d_min
+            self.length = _shading_length(config.n_prosumers, config.d_min)
+            self.antideriv_dmin = [
+                _antideriv(r, offset, config.d_min, warn=False)
+                for r, offset in zip(self.rates, self.offsets)]
+
+    def __call__(self, i: int, q):
+        self.q_min[i] = min(self.q_min[i], np.min(q))
+        r, offset = self.rates[i], self.offsets[i]
+        if not self.shaded:
+            return _utility(r, offset, q, warn=False)
+        return _shaded_utility(r, offset, self.length, self.d_min, q,
+                               warn=False,
+                               antideriv_dmin=self.antideriv_dmin[i])
+
+    def warn(self) -> None:
+        """Warn once, at the verifier's caller, if the clamp engaged."""
+        if np.any(-self.rates * self.q_min > _EXP_CLAMP):
+            _warn_saturated(stacklevel=3)
+
+
+def _first_argmax(blocks) -> tuple[int, float]:
+    """Flat index and value of the first maximum over blocks taken in order.
+
+    Equals np.argmax over the blocks' concatenation: a later block replaces
+    the incumbent only with a strictly greater value, or with a NaN, which
+    np.argmax returns before any number.
+    """
+    best_k, best, offset = 0, None, 0
+    for vals in blocks:
+        j = int(np.argmax(vals))
+        v = vals.flat[j]
+        if best is None or v > best or (np.isnan(v) and not np.isnan(best)):
+            best_k, best = offset + j, v
+        offset += vals.size
+    return best_k, best
+
+
 def strategic_payoff(i: int, thetas, config: MarketConfig) -> float:
     """Payoff of prosumer i under the full bid profile: S_i(q_i) - p*q_i.
 
     Defined only for profiles with a strictly positive clearing price
     (sum of bids < 0); at zero price the payoff is undefined.
     """
+    curves = _Curves(config, MODE_TRUE)
+    payoff = _profile_payoff(curves, i, thetas, config)
+    curves.warn()
+    return payoff
+
+
+def _profile_payoff(curves: _Curves, i: int, thetas,
+                    config: MarketConfig) -> float:
+    """strategic_payoff, evaluated through the caller's curves."""
     t = np.asarray(thetas, dtype=float)
     if t.shape != (config.n_prosumers,):
         raise DomainError(
@@ -63,14 +130,15 @@ def strategic_payoff(i: int, thetas, config: MarketConfig) -> float:
         raise DomainError(
             f"payoff needs a positive price, so bid sum < 0; got {total}")
     rival_sum = total - float(t[i])
-    return float(_payoff_curve(i, np.array([t[i]]), rival_sum, config)[0])
+    return float(_payoff_curve(curves, i, np.array([t[i]]), rival_sum,
+                               config)[0])
 
 
-def _payoff_curve(i, theta_i, rival_sum, config):
+def _payoff_curve(curves: _Curves, i, theta_i, rival_sum, config):
     """Vectorized payoff of prosumer i over an array of own bids."""
     price = -(theta_i + rival_sum) / (config.n_prosumers * config.d_min)
     q = config.d_min + theta_i / price
-    return _utility(config.rates[i], config.offsets[i], q) - price * q
+    return curves(i, q) - price * q
 
 
 def _capacity_lower_bound(rival_sum: float, config: MarketConfig) -> float:
@@ -116,9 +184,9 @@ def best_response(i: int, thetas, config: MarketConfig,
     thetas is the full candidate profile; entry i is the candidate bid the
     result's gap is measured against. The search interval is
     [theta_lb, -(sum of rival bids) - eps_price], with theta_lb the
-    capacity bound at the interval's own price fixed point. A dense grid
-    locates the global basin; golden section sharpens it. Raises TooLarge
-    for more than MAX_GRID_POINTS grid points.
+    capacity bound at the interval's own price fixed point. A dense grid,
+    scanned in blocks, locates the global basin; golden section sharpens
+    it. Raises TooLarge for more than MAX_GRID_POINTS grid points.
     """
     if grid_points > MAX_GRID_POINTS:
         raise TooLarge(f"best response supports at most {MAX_GRID_POINTS} "
@@ -136,23 +204,27 @@ def best_response(i: int, thetas, config: MarketConfig,
     if theta_lb >= theta_hi:
         raise DomainError("empty bid interval; eps_price too large")
 
+    curves = _Curves(config, MODE_TRUE)
     grid_points = max(int(grid_points), 3)
     grid = np.linspace(theta_lb, theta_hi, grid_points)
-    payoffs = _payoff_curve(i, grid, rival_sum, config)
-    k = int(np.argmax(payoffs))
+    k, payoff_k = _first_argmax(
+        _payoff_curve(curves, i, grid[start:start + _BLOCK], rival_sum, config)
+        for start in range(0, grid_points, _BLOCK))
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, grid_points - 1)]
 
     def f(x):
-        return float(_payoff_curve(i, np.array([x]), rival_sum, config)[0])
+        return float(_payoff_curve(curves, i, np.array([x]), rival_sum,
+                                   config)[0])
 
     span = theta_hi - theta_lb
     theta_star, payoff_star = _golden_max(f, lo, hi, tol=1e-12 * max(1.0, span))
     # the grid point the refined bracket came from can beat its midpoint
-    if payoffs[k] > payoff_star:
-        theta_star, payoff_star = grid[k], float(payoffs[k])
+    if payoff_k > payoff_star:
+        theta_star, payoff_star = grid[k], float(payoff_k)
 
-    payoff_at_candidate = strategic_payoff(i, t, config)
+    payoff_at_candidate = _profile_payoff(curves, i, t, config)
+    curves.warn()
     return BestResponseResult(
         prosumer_index=i,
         theta_star=float(theta_star),
@@ -162,13 +234,34 @@ def best_response(i: int, thetas, config: MarketConfig,
     )
 
 
-def _objective(config: MarketConfig, mode: str):
-    """The curve of prosumer i at q: S_i in the true mode, else S_mod,i."""
-    r, offsets, d_min = config.rates, config.offsets, config.d_min
-    if mode == MODE_TRUE:
-        return lambda i, q: _utility(r[i], offsets[i], q)
-    L = _shading_length(config.n_prosumers, d_min)
-    return lambda i, q: _shaded_utility(r[i], offsets[i], L, d_min, q)
+def _welfare_blocks(curves: _Curves, axes, lo_full: float, hi_full: float):
+    """The welfare over the grid of free coordinates, in row blocks.
+
+    Yields the grid in row-major order, a block of whole rows at a time;
+    the last prosumer balances the free ones, and cells where its quantity
+    leaves [lo_full, hi_full] read -inf. The free prosumers' curves are
+    separable, so they are evaluated once per axis and broadcast.
+    """
+    n = len(axes) + 1
+    neg_a = -axes[0]
+    head = curves(0, axes[0])
+    rows = _BLOCK
+    if n == 3:
+        b = axes[1]
+        tail = curves(1, b)
+        rows = _BLOCK // b.size  # b.size <= 3162 under MAX_GRID_POINTS
+    for start in range(0, neg_a.size, rows):
+        block = slice(start, start + rows)
+        if n == 3:
+            q_last = neg_a[block, None] - b[None, :]
+            vals = head[block, None] + tail[None, :]
+        else:
+            q_last = neg_a[block]
+            vals = head[block]
+        vals = vals + curves(n - 1, q_last)
+        feasible = (q_last >= lo_full) & (q_last <= hi_full)
+        np.copyto(vals, -np.inf, where=~feasible)
+        yield vals
 
 
 def brute_force_program(config: MarketConfig, mode: str,
@@ -181,8 +274,10 @@ def brute_force_program(config: MarketConfig, mode: str,
     the incumbent for zoom_passes rounds so the returned grid point is
     sharp enough to certify the dual solver. The zoom assumes the incumbent
     basin contains the optimum, which holds on the concave regime this
-    oracle is specified for. Raises TooLarge, before allocating anything, when
-    grid_points**(N-1) exceeds MAX_GRID_POINTS (3162 points for N = 3).
+    oracle is specified for. The scan holds about _BLOCK cells at a time and
+    returns the first grid maximum in row-major order. Raises TooLarge,
+    before building any grid, when grid_points**(N-1) exceeds
+    MAX_GRID_POINTS (3162 points for N = 3).
     """
     if mode not in MODES:
         raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
@@ -195,40 +290,34 @@ def brute_force_program(config: MarketConfig, mode: str,
         raise TooLarge(f"brute force supports at most {MAX_GRID_POINTS} grid "
                        f"points in all, got {grid_points}**{n - 1}")
     s = config.s_max
-    f = _objective(config, mode)
+    curves = _Curves(config, mode)
     lo_full, hi_full = -s, (n - 1) * s
     # the free coordinates q_1..q_{N-1}; the last prosumer balances them
     lo, hi = [lo_full] * (n - 1), [hi_full] * (n - 1)
     for _ in range(zoom_passes + 1):
         axes = [np.linspace(a, b, grid_points) for a, b in zip(lo, hi)]
-        free = np.meshgrid(*axes, indexing="ij")
-        q_last = -free[0]
-        vals = f(0, free[0])
-        for i, q in enumerate(free[1:], start=1):
-            q_last = q_last - q
-            vals = vals + f(i, q)
-        vals = vals + f(n - 1, q_last)
-        feasible = (q_last >= lo_full) & (q_last <= hi_full)
-        vals = np.where(feasible, vals, -np.inf)
-        k = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        k, _ = _first_argmax(_welfare_blocks(curves, axes, lo_full, hi_full))
+        k = np.unravel_index(k, (grid_points,) * (n - 1))
         best = [float(axis[j]) for axis, j in zip(axes, k)]
         for j, (a, b) in enumerate(zip(lo, hi)):
             cell = (b - a) / (grid_points - 1)
             lo[j] = max(best[j] - 2 * cell, lo_full)
             hi[j] = min(best[j] + 2 * cell, hi_full)
-    quantities = np.array(best + [float(q_last[k])])
-
-    return _certify(config, mode, quantities)
+    q_last = -best[0] - best[1] if n == 3 else -best[0]
+    curves.warn()
+    return _certify(config, mode, np.array(best + [q_last]))
 
 
 def _certify(config: MarketConfig, mode: str, quantities) -> Allocation:
     """Wrap a grid optimum as an Allocation with an estimated dual price."""
     q = np.asarray(quantities, dtype=float)
+    # every q_i is a grid point the scan evaluated, so the scan has already
+    # seen any clamp these marginals would engage
     if mode == MODE_TRUE:
-        m = _marginal(config.rates, q)
+        m = _marginal(config.rates, q, warn=False)
     else:
         L = _shading_length(config.n_prosumers, config.d_min)
-        m = _shaded_marginal(config.rates, L, q)
+        m = _shaded_marginal(config.rates, L, q, warn=False)
     at_capacity = np.abs(q + config.s_max) <= max(config.tol_root, 1e-7)
     interior = m[~at_capacity]
     dual_price = float(np.median(interior) if interior.size else np.max(m))
