@@ -1,6 +1,7 @@
 """Tests for sweeps, CSV emission and config ingestion."""
 
 import json
+import pathlib
 import warnings
 
 import numpy as np
@@ -28,6 +29,10 @@ from prosumer_market import (
 )
 from prosumer_market import experiments, solver
 from prosumer_market.market import MarketStack
+
+
+# the four panels' 30-step outputs of scripts/run_case_study.py
+GOLDEN = pathlib.Path(__file__).parent / "data" / "case_study"
 
 
 @pytest.fixture(scope="module")
@@ -262,6 +267,20 @@ class TestEmitCsv:
         assert len(lines) == len(bounded_rows) + 1
         first = lines[1].split()
         assert float(first[0]) == pytest.approx(bounded_rows[0].total_param)
+
+
+class TestGoldenFiles:
+    """The case-study outputs match the committed files byte for byte."""
+
+    @pytest.mark.parametrize("panel", PANELS)
+    def test_panel_reproduces_committed_outputs(self, tmp_path, panel):
+        rows = run_sweep(case_study_spec(panel, steps=30))
+        emit_csv(rows, tmp_path / f"{panel}.csv")
+        emit_gnuplot(rows, tmp_path / f"{panel}.dat")
+        for suffix in (".csv", ".dat"):
+            name = panel + suffix
+            assert ((tmp_path / name).read_bytes()
+                    == (GOLDEN / name).read_bytes()), name
 
 
 class TestEquilibriumReport:
