@@ -30,7 +30,7 @@ import numpy as np
 
 from .conditions import ConditionReport, _eq21_ok, evaluate_conditions
 from .errors import ConfigError, DomainError
-from .market import (_EXP_CLAMP, MarketConfig, MarketStack, _warn_saturated,
+from .market import (MarketConfig, MarketStack, _saturates, _warn_saturated,
                      market_stack)
 from .solver import (MODE_MODIFIED, MODE_TRUE, SolveResult, _solve_stack,
                      _welfares, solve_dual)
@@ -203,7 +203,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     for start in range(0, values.size, block):
         chunk = values[start:start + block]
         st = _sweep_stack(spec, chunk)
-        saturated = saturated or np.max(st.rates * st.s_max) > _EXP_CLAMP
+        saturated = saturated or _saturates(st)
         rows += _sweep_rows(spec, chunk, st, _solve_stack(st, MODE_TRUE),
                             _solve_stack(st, MODE_MODIFIED))
     if saturated:
@@ -315,6 +315,8 @@ def load_config_file(path) -> tuple[MarketConfig, SweepSpec | None]:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     _reject_unknown(raw, _TOP_LEVEL_KEYS, str(path))

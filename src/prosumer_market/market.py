@@ -130,11 +130,13 @@ class MarketStack(NamedTuple):
     """The eta-independent terms of m markets that share n prosumers' betas.
 
     Row k holds market k: its d_min and s_max as (m, 1) columns, and every
-    per-(market, prosumer) term as an (m, n) array, computed elementwise in
-    the same operations for one market as for many, so that a row of a
-    stack equals the stack of its market alone. The bounds and the shading
-    length are stored at full (m, n) shape, which numpy combines faster
-    than a broadcast column. The non-concave prosumers (eq21 threshold
+    per-(market, prosumer) term as a C-contiguous (m, n) array, computed
+    elementwise in the same operations for one market as for many. Every
+    per-market sum is a numpy reduction along axis 1, which reduces each
+    row exactly as it reduces that row alone, so a row of a stack equals
+    the stack of its market alone. The bounds and the shading length are
+    stored at full (m, n) shape, which numpy combines faster than a
+    broadcast column. The non-concave prosumers (eq21 threshold
     above -s_max) are marked in non_concave; antideriv_dmin, utility_lo and
     peak_marginal are their terms and hold no meaning for the others.
     """
@@ -156,6 +158,15 @@ class MarketStack(NamedTuple):
     antideriv_dmin: np.ndarray  # A(d_min)
     utility_lo: np.ndarray  # S_mod(-s_max)
     peak_marginal: np.ndarray  # S_mod' at the threshold clipped to q_upper
+
+
+def _saturates(st: MarketStack) -> bool:
+    """Whether the exponent clamp engages at -s_max in any market of st.
+
+    Every q a solve evaluates is at least -s_max, so the clamp engages in
+    a search of st exactly when this holds.
+    """
+    return bool(np.max(st.rates * st.s_max) > _EXP_CLAMP)
 
 
 def market_stack(betas, d_min, s_max) -> MarketStack:
@@ -190,13 +201,10 @@ def market_stack(betas, d_min, s_max) -> MarketStack:
         peak_marginal = _shaded_marginal(
             rates, L, np.where(nc, np.minimum(thresholds, hi), hi),
             warn=False)
-    # the all-free competitive price solves sum (ln r - ln eta)/r = 0; one
-    # np.dot per market keeps its sum order
-    log_price0 = np.array([np.dot(lr, ir) for lr, ir in zip(log_rates,
-                                                          inv_rates)])
-    log_price0 /= inv_rates.sum(axis=1)
-    # math.log per market, as the search takes the log of each eta
-    log_lengths = np.array([[math.log(v)] for v in L[:, 0].tolist()])
+    # the all-free competitive price solves sum (ln r - ln eta)/r = 0
+    log_price0 = ((log_rates * inv_rates).sum(axis=1)
+                  / inv_rates.sum(axis=1))
+    log_lengths = np.log(L[:, :1])
     return MarketStack(*map(_frozen, (
         d, s, log_lengths, log_price0, lo, hi, L, rates, log_rates,
         inv_rates, rates * L, offsets, thresholds, nc, a_dmin, utility_lo,
@@ -337,13 +345,15 @@ def quantity_from_bid(theta: float, price: float, d_min: float) -> float:
 def clearing_price(thetas, d_min: float) -> float:
     """Uniform price balancing all committed net quantities.
 
-    p = -(sum thetas) / (N * d_min); requires sum thetas <= 0 (the operator
-    rejects bid profiles violating it) and returns 0 for the all-zero
-    profile.
+    p = -(sum thetas) / (N * d_min); requires at least one bid and
+    sum thetas <= 0 (the operator rejects bid profiles violating it) and
+    returns 0 for the all-zero profile.
     """
     if d_min <= 0:
         raise DomainError(f"d_min must be positive, got {d_min}")
     t = np.asarray(thetas, dtype=float)
+    if t.size == 0:
+        raise DomainError("the bid profile is empty")
     total = float(t.sum())
     if total > 0:
         raise InvalidBids(

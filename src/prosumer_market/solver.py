@@ -48,9 +48,11 @@ market). Each market keeps its own bracket, iterate and stop rule; each
 pass evaluates every market still searching with one numpy call per
 kernel, on (m, n) arrays and (m, 1) columns of per-market values, and the
 markets that settle are dropped from the stack before the next pass. Every
-per-market sum is the one numpy gives for that market alone, so a market's
-result does not depend on the markets stacked with it. solve_dual is the
-search of a stack of one, on the stack cached on its MarketConfig.
+per-market sum is one numpy reduction along the rows of a C-contiguous
+(m, n) array, which reduces each row exactly as it reduces that row alone,
+so a market's result does not depend on the markets stacked with it.
+solve_dual is the search of a stack of one, on the stack cached on its
+MarketConfig.
 
 Recovered bids theta_i = eta*(q_i - d_min) reproduce eta as the clearing
 price of the recovered profile.
@@ -58,7 +60,6 @@ price of the recovered profile.
 
 from __future__ import annotations
 
-import bisect
 import math
 import sys
 from dataclasses import dataclass
@@ -68,8 +69,8 @@ import numpy as np
 
 from .conditions import _eq21_ok
 from .errors import BracketFailure, DomainError
-from .market import (_EXP_CLAMP, Allocation, MarketConfig, MarketStack,
-                     _marginal, _shaded_curvature, _shaded_marginal,
+from .market import (Allocation, MarketConfig, MarketStack, _marginal,
+                     _saturates, _shaded_curvature, _shaded_marginal,
                      _shaded_utility, _utility, _warn_saturated)
 
 MODE_TRUE = "true"
@@ -162,8 +163,8 @@ def _shaded_root(r, log_r, rL, L, log_eta, shift) -> np.ndarray:
 def _inverse_true(st: MarketStack, eta) -> np.ndarray:
     """q solving S'(q) = eta per (market, prosumer), clipped to the bounds.
 
-    eta is one (m, 1) column entry per market of the stack st, or a float
-    for a stack of one.
+    eta is an (m, 1) column, one entry per market of the stack st; a float
+    stands for the column of a stack of one.
     """
     return np.clip(-np.log(eta / st.rates) / st.rates, st.q_lower, st.q_upper)
 
@@ -173,12 +174,12 @@ def _inverse_modified(st: MarketStack, eta, log_eta, shift,
     """Maximizer of S_mod(q) - eta*q per (market, prosumer), with flags.
 
     eta, log_eta = ln(eta) and shift = ln(eta) + ln(L) + 1 are (m, 1)
-    columns, one entry per market of the stack st, or floats for a stack of
-    one; any_non_concave tells whether st.non_concave has a true entry. See
-    marginal_inverse_modified for the choice at a non-concave prosumer; the
-    flags mark maximizers where the shaded curve is locally convex. The
-    non-concave terms are evaluated at q_upper for the concave prosumers,
-    whose entries they do not decide.
+    columns, one entry per market of the stack st; floats stand for the
+    columns of a stack of one. any_non_concave tells whether st.non_concave
+    has a true entry. See marginal_inverse_modified for the choice at a
+    non-concave prosumer; the flags mark maximizers where the shaded curve
+    is locally convex. The non-concave terms are evaluated at q_upper for
+    the concave prosumers, whose entries they do not decide.
     """
     L, lo, hi = st.lengths, st.q_lower, st.q_upper
     q = np.clip(_shaded_root(st.rates, st.log_rates, st.rate_lengths, L,
@@ -199,9 +200,9 @@ def _inverse_modified(st: MarketStack, eta, log_eta, shift,
     return q, ~_eq21_ok(q, st.thresholds)
 
 
-def _column(values: list):
-    """The (m, 1) column of per-market values, or the value of a stack of one."""
-    return values[0] if len(values) == 1 else np.array(values)[:, None]
+def _column(values: list) -> np.ndarray:
+    """The (m, 1) column of per-market values."""
+    return np.array(values)[:, None]
 
 
 def _positive(eta: float) -> float:
@@ -230,9 +231,9 @@ def marginal_inverse_modified(config: MarketConfig,
     the one at -s_max (the larger q on ties), and -s_max is taken otherwise.
     """
     st, log_eta = config.stack, math.log(_positive(eta))
-    q, flags = _inverse_modified(
-        st, eta, log_eta, log_eta + float(st.log_lengths[0, 0]) + 1.0,
-        bool(st.non_concave.any()))
+    q, flags = _inverse_modified(st, eta, log_eta,
+                                 log_eta + st.log_lengths + 1.0,
+                                 bool(st.non_concave.any()))
     return q[0], flags[0]
 
 
@@ -241,42 +242,18 @@ def _slopes(st: MarketStack, q: np.ndarray, free: np.ndarray,
     """Per market, the slope of excess demand in ln(eta), over eta if shaded.
 
     That is the sum over the market's free prosumers of 1/S_mod''(q_i)
-    (shaded) or of -1/r_i (true). Each market's sum is the one numpy gives
-    for that market alone. Its pairwise sum groups entries by position, so
-    summing zero-filled rows could round differently; the markets are
-    instead ordered by their number k of free prosumers, and the free
-    entries of the markets with the same k are summed as one (markets, k)
-    block.
+    (shaded) or of -1/r_i (true): one row reduction of the zero-filled
+    (m, n) terms per market.
     """
-    many = len(q) > 1
-    if many:
-        counts = free.sum(axis=1)
-        order = np.argsort(counts, kind="stable")
-        q, free = q[order], free[order]
-    else:
-        order = slice(None)
     if shaded:
-        # one market's shading length is one number
-        lengths = (st.lengths[order][free] if many
-                   else float(st.lengths[0, 0]))
-        with np.errstate(divide="ignore"):
-            picked = 1.0 / _shaded_curvature(st.rates[order][free], lengths,
-                                             q[free], warn=False)
+        # the terms of the prosumers on a bound are discarded; at -s_max
+        # the exponent clamp can take them out of the float range
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            terms = 1.0 / _shaded_curvature(st.rates, st.lengths, q,
+                                             warn=False)
     else:
-        picked = st.inv_rates[order][free]
-    sign = 1.0 if shaded else -1.0
-    if not many:
-        return [sign * float(picked.sum())]
-    counts = counts[order].tolist()
-    sums = np.empty(len(counts))
-    start = pos = 0
-    while start < len(counts):
-        k = counts[start]
-        stop = bisect.bisect_right(counts, k, start)
-        block = picked[pos:pos + (stop - start) * k]
-        sums[order[start:stop]] = block.reshape(stop - start, k).sum(axis=1)
-        start, pos = stop, pos + block.size
-    return (sign * sums).tolist()
+        terms = -st.inv_rates
+    return np.where(free, terms, 0.0).sum(axis=1).tolist()
 
 
 def _bracket(st: MarketStack, mode: str) -> tuple[list, list, list]:
@@ -393,7 +370,6 @@ def _solve_stack(st: MarketStack, mode: str) -> _Batch:
     # per market: (|sum q|, sum q, eta, q, flags, row) of its best
     # evaluation, whose quantities and flags are row `row` of q and flags
     best = [None] * m
-    log_lengths = st.log_lengths[:, 0].tolist()
     active = [k for k in range(m) if errors[k] is None]
     if len(active) < m:
         st = MarketStack(*(field[active] for field in st))
@@ -406,11 +382,10 @@ def _solve_stack(st: MarketStack, mode: str) -> _Batch:
         passes += 1
         etas = [math.exp(x[k]) for k in active]
         if shaded:
-            log_etas = [math.log(v) for v in etas]
+            log_eta = _column([math.log(v) for v in etas])
             q, flags = _inverse_modified(
-                st, _column(etas), _column(log_etas),
-                _column([v + log_lengths[k] + 1.0
-                         for v, k in zip(log_etas, active)]), any_non_concave)
+                st, _column(etas), log_eta, log_eta + st.log_lengths + 1.0,
+                any_non_concave)
         else:
             q, flags = _inverse_true(st, _column(etas)), no_flags
         totals = q.sum(axis=1).tolist()
@@ -505,17 +480,13 @@ def solve_dual(config: MarketConfig, mode: str) -> SolveResult:
                          np.where(at_upper, np.maximum(0.0, eta - m),
                                   np.abs(m - eta)))
     allocation = Allocation(qs, eta, residuals, at_capacity)
-    welfare_true = welfare(config, qs)
-    # every evaluation point lies at or above -s_max, so the clamp engaged
-    # iff it does there; welfare has already warned if it engaged at qs
-    if (np.max(rates) * s_max > _EXP_CLAMP
-            and not np.any(-rates * qs > _EXP_CLAMP)):
+    if _saturates(config.stack):
         _warn_saturated(stacklevel=2)
     return SolveResult(
         allocation=allocation,
         thetas=eta * (qs - config.d_min),
         price=eta,
-        welfare_true=welfare_true,
+        welfare_true=float(_welfares(config.stack, qs[None])[0]),
         converged=bool(abs(total) <= config.tol_root),
         iterations=batch.iterations[0],
         mode=mode,

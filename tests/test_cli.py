@@ -150,6 +150,14 @@ class TestExitCodes:
         assert cli_main(["solve", "--config", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_non_utf8_config_rejected(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"n_prosumers": 2, "d_min": 1, "s_max": 1, '
+                         b'"betas": [2, 3], "\xff": 1}')
+        assert cli_main(["solve", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "UTF-8" in err
+
     def test_tolerance_below_float_resolution_rejected(self, tmp_path,
                                                        capsys):
         path = tmp_path / "tiny_tol.json"

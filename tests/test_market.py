@@ -73,6 +73,10 @@ class TestClearingPrice:
         with pytest.raises(InvalidBids):
             clearing_price([1.0, -0.5], 1.0)
 
+    def test_empty_profile_rejected(self):
+        with pytest.raises(DomainError, match="empty"):
+            clearing_price([], 1.0)
+
     @given(
         price=st.floats(1e-6, 1e3),
         d_min=st.floats(1e-2, 20),

@@ -884,7 +884,7 @@ class TestOnDemandBracket:
 
 
 class TestLockstepSlopes:
-    """Each market's slope sum is the one numpy gives for that market alone."""
+    """Each market's slope is its row reduction, whatever shares its stack."""
 
     @pytest.mark.parametrize("shaded", [False, True], ids=["true", "shaded"])
     def test_slopes_equal_per_market_sums(self, shaded):
@@ -908,7 +908,22 @@ class TestLockstepSlopes:
                 else:
                     expected.append(-float(np.sum(
                         stack.inv_rates[k][free[k]])))
-            assert solver._slopes(stack, q, free, shaded) == expected
+            slopes = solver._slopes(stack, q, free, shaded)
+            # the zero-filled rows group their terms differently from the
+            # free entries alone, so the sums agree to rounding
+            np.testing.assert_allclose(slopes, expected, rtol=1e-13)
             assert [solver._slopes(
                 MarketStack(*(field[[k]] for field in stack)), q[[k]],
-                free[[k]], shaded)[0] for k in range(len(q))] == expected
+                free[[k]], shaded)[0] for k in range(len(q))] == slopes
+
+    def test_bound_terms_out_of_float_range_are_dropped(self):
+        # at -s_max the steep prosumer's clamped S_mod'' is -inf + inf
+        stack = market_stack((1e4, 2.0, 3.0), (0.1,), (0.1,))
+        q = np.array([[-0.1, 0.05, 0.07]])
+        free = (q > stack.q_lower) & (q < stack.q_upper)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            slopes = solver._slopes(stack, q, free, True)
+        expected = np.sum(1.0 / _shaded_curvature(
+            stack.rates[0, 1:], 0.2, q[0, 1:], warn=False))
+        assert slopes == [pytest.approx(expected, rel=1e-13)]
