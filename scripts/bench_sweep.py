@@ -13,10 +13,9 @@ in the file are kept):
   * case_study_round_ms: one in-process case-study round, the four shipped
     panels at 30 steps through run_sweep, emit_csv and emit_gnuplot;
   * phases_ms: the same round split into stack build, search passes, row
-    assembly and emit, by calling the sweep's stages one at a time (null for
-    a tree whose sweep has no stacked stages);
+    assembly and emit, by calling the sweep's stages one at a time;
   * passes: the lockstep passes of each panel and mode, and the excess
-    evaluations they made (null likewise);
+    evaluations they made;
   * equilibrium_report_ms: one report of a seeded concave market at N = 200,
     250 and 300 (betas uniform in [1.5, 3.5], d_min = 4, s_max = 1.6), which
     goes through the search as a stack of one;
@@ -94,33 +93,28 @@ def measure(pm) -> dict:
     import numpy as np
 
     specs = {p: pm.case_study_spec(p, steps=STEPS) for p in pm.PANELS}
-    stacked = hasattr(pm.solver, "_solve_stack")
     with tempfile.TemporaryDirectory() as tmp:
         out_dir = Path(tmp)
         result = {"case_study_round_ms": _timed(
             lambda: _round(pm, specs, out_dir))}
-        phases = passes = None
-        if stacked:
-            samples = {k: [] for k in ("stack_build", "search",
-                                       "row_assembly", "emit")}
-            _phased_round(pm, specs, out_dir, dict.fromkeys(samples, 0.0))
-            for _ in range(ROUNDS):
-                times = dict.fromkeys(samples, 0.0)
-                _phased_round(pm, specs, out_dir, times)
-                for key, dt in times.items():
-                    samples[key].append(dt)
-            phases = {k: _summary(v) for k, v in samples.items()}
-            passes = {}
-            for panel, spec in specs.items():
-                stack = pm.experiments._sweep_stack(spec, spec.values())
-                passes[panel] = {}
-                for mode in (pm.MODE_TRUE, pm.MODE_MODIFIED):
-                    batch = pm.solver._solve_stack(stack, mode)
-                    passes[panel][mode] = {
-                        "passes": batch.passes,
-                        "excess_evaluations": sum(batch.iterations)}
-        result["phases_ms"] = phases
-        result["passes"] = passes
+        samples = {k: [] for k in ("stack_build", "search", "row_assembly",
+                                   "emit")}
+        _phased_round(pm, specs, out_dir, dict.fromkeys(samples, 0.0))
+        for _ in range(ROUNDS):
+            times = dict.fromkeys(samples, 0.0)
+            _phased_round(pm, specs, out_dir, times)
+            for key, dt in times.items():
+                samples[key].append(dt)
+    result["phases_ms"] = {k: _summary(v) for k, v in samples.items()}
+    passes = {}
+    for panel, spec in specs.items():
+        stack = pm.experiments._sweep_stack(spec, spec.values())
+        passes[panel] = {}
+        for mode in (pm.MODE_TRUE, pm.MODE_MODIFIED):
+            batch = pm.solver._solve_stack(stack, mode)
+            passes[panel][mode] = {"passes": batch.passes,
+                                   "excess_evaluations": sum(batch.iterations)}
+    result["passes"] = passes
     rng = np.random.default_rng([SEED, 2])
     reports = {}
     for n in LARGE_SIZES:

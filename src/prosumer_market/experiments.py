@@ -160,12 +160,11 @@ def _sweep_rows(spec: SweepSpec, values: np.ndarray, st: MarketStack,
     solver.welfare and conditions.check_eq21. A point whose solve failed
     gets the failure's message and nan values.
     """
-    q_n = np.array(nash.quantities)
-    welfare_c = _welfares(st, np.array(competitive.quantities)).tolist()
-    welfare_n = _welfares(st, q_n).tolist()
-    violations = np.count_nonzero(~_eq21_ok(q_n, st.thresholds),
+    welfare_c = _welfares(st, competitive.quantities).tolist()
+    welfare_n = _welfares(st, nash.quantities).tolist()
+    violations = np.count_nonzero(~_eq21_ok(nash.quantities, st.thresholds),
                                   axis=1).tolist()
-    non_concave = np.array(nash.flags).any(axis=1).tolist()
+    non_concave = nash.flags.any(axis=1).tolist()
     n, nan, rows = spec.base_config.n_prosumers, float("nan"), []
     for k, value in enumerate(values.tolist()):
         error = competitive.errors[k] or nash.errors[k]

@@ -137,8 +137,10 @@ class MarketStack(NamedTuple):
     the stack of its market alone. The bounds and the shading length are
     stored at full (m, n) shape, which numpy combines faster than a
     broadcast column. The non-concave prosumers (eq21 threshold
-    above -s_max) are marked in non_concave; antideriv_dmin, utility_lo and
-    peak_marginal are their terms and hold no meaning for the others.
+    above -s_max) are marked in non_concave; utility_lo is their term and
+    holds no meaning for the others. peak_marginal is every prosumer's
+    largest shaded marginal on [-s_max, q_upper], at its eq21 threshold
+    clipped to that interval.
     """
 
     d_min: np.ndarray  # (m, 1)
@@ -157,7 +159,7 @@ class MarketStack(NamedTuple):
     non_concave: np.ndarray  # threshold above -s_max
     antideriv_dmin: np.ndarray  # A(d_min)
     utility_lo: np.ndarray  # S_mod(-s_max)
-    peak_marginal: np.ndarray  # S_mod' at the threshold clipped to q_upper
+    peak_marginal: np.ndarray  # S_mod' at the threshold clipped to the bounds
 
 
 def _saturates(st: MarketStack) -> bool:
@@ -172,9 +174,9 @@ def _saturates(st: MarketStack) -> bool:
 def market_stack(betas, d_min, s_max) -> MarketStack:
     """Stack the eta-independent terms of the markets (betas, d_min[k], s_max[k]).
 
-    d_min and s_max are sequences of one value per market. The non-concave
-    terms are evaluated at q_upper for the concave prosumers, where every
-    exponent is small, so that no stack entry overflows.
+    d_min and s_max are sequences of one value per market. utility_lo is
+    evaluated at q_upper for the concave prosumers, where every exponent is
+    small, so that it does not overflow.
     """
     b = np.asarray(betas, dtype=float)
     n = b.size
@@ -195,12 +197,13 @@ def market_stack(betas, d_min, s_max) -> MarketStack:
     a_dmin = _antideriv(rates, offsets, d, warn=False)
     utility_lo = _shaded_utility(rates, offsets, L, d, np.where(nc, lo, hi),
                                  warn=False, antideriv_dmin=a_dmin)
-    # where the exponent clamp engages at a steep prosumer's peak, its
-    # marginal exceeds the float range and reads inf, above every price
+    # the shaded marginal rises below the eq21 threshold and falls above
+    # it; where the exponent clamp engages at a steep prosumer's peak, the
+    # peak exceeds the float range and reads inf, above every price
     with np.errstate(over="ignore"):
-        peak_marginal = _shaded_marginal(
-            rates, L, np.where(nc, np.minimum(thresholds, hi), hi),
-            warn=False)
+        peak_marginal = _shaded_marginal(rates, L,
+                                         np.clip(thresholds, lo, hi),
+                                         warn=False)
     # the all-free competitive price solves sum (ln r - ln eta)/r = 0
     log_price0 = ((log_rates * inv_rates).sum(axis=1)
                   / inv_rates.sum(axis=1))

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, TooLarge, UnboundedPayoff
-from .market import (_EXP_CLAMP, Allocation, MarketConfig, _antideriv,
-                     _marginal, _shaded_marginal, _shaded_utility,
-                     _shading_length, _utility, _warn_saturated)
+from .market import (_EXP_CLAMP, Allocation, MarketConfig, _marginal,
+                     _shaded_marginal, _shaded_utility, _utility,
+                     _warn_saturated)
 from .solver import MODE_TRUE, MODES
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -69,10 +69,8 @@ class _Curves:
         self.shaded = mode != MODE_TRUE
         if self.shaded:
             self.d_min = config.d_min
-            self.length = _shading_length(config.n_prosumers, config.d_min)
-            self.antideriv_dmin = [
-                _antideriv(r, offset, config.d_min, warn=False)
-                for r, offset in zip(self.rates, self.offsets)]
+            self.length = float(config.stack.lengths[0, 0])
+            self.antideriv_dmin = config.stack.antideriv_dmin[0]
 
     def __call__(self, i: int, q):
         self.q_min[i] = min(self.q_min[i], np.min(q))
@@ -316,8 +314,8 @@ def _certify(config: MarketConfig, mode: str, quantities) -> Allocation:
     if mode == MODE_TRUE:
         m = _marginal(config.rates, q, warn=False)
     else:
-        L = _shading_length(config.n_prosumers, config.d_min)
-        m = _shaded_marginal(config.rates, L, q, warn=False)
+        m = _shaded_marginal(config.rates, float(config.stack.lengths[0, 0]),
+                             q, warn=False)
     at_capacity = np.abs(q + config.s_max) <= max(config.tol_root, 1e-7)
     interior = m[~at_capacity]
     dual_price = float(np.median(interior) if interior.size else np.max(m))

@@ -20,9 +20,9 @@ u >= 1 is -W_{-1}(-exp(-sigma - 1)) (Lambert W; Corless et al., Adv. Comput.
 Math. 1996). It is found by a fixed number of real Newton steps from a
 closed-form lower bound (Chatzigeorgiou, IEEE Commun. Lett. 2013) and one
 Newton step in q, or by the series at the branch point u = 1, the eq21
-threshold. The eta-independent terms (ln r, r*L and, for the non-concave
-prosumers, S_mod(-s_max), the marginal's peak and A(d_min)) come from a
-MarketStack, computed once per stack.
+threshold. The eta-independent terms (ln r, r*L, A(d_min), the shaded
+marginal's peak and, for the non-concave prosumers, S_mod(-s_max)) come
+from a MarketStack, computed once per stack.
 
 Where a shaded curve is not concave over the whole interval, its rising
 stationary point is a local minimum of the Lagrangian, so only the capacity
@@ -46,8 +46,10 @@ The search runs in lockstep over a stack of m markets that share the
 prosumers' betas (market.MarketStack: the points of a sweep, or one
 market). Each market keeps its own bracket, iterate and stop rule; each
 pass evaluates every market still searching with one numpy call per
-kernel, on (m, n) arrays and (m, 1) columns of per-market values, and the
-markets that settle are dropped from the stack before the next pass. Every
+kernel, on (m, n) arrays and (m, 1) columns of per-market values, writes
+each market's evaluation of least |sum q| so far into its row of the
+(m, n) result arrays, and the markets that settle are dropped from the
+stack before the next pass. Every
 per-market sum is one numpy reduction along the rows of a C-contiguous
 (m, n) array, which reduces each row exactly as it reduces that row alone,
 so a market's result does not depend on the markets stacked with it.
@@ -169,22 +171,22 @@ def _inverse_true(st: MarketStack, eta) -> np.ndarray:
     return np.clip(-np.log(eta / st.rates) / st.rates, st.q_lower, st.q_upper)
 
 
-def _inverse_modified(st: MarketStack, eta, log_eta, shift,
-                      any_non_concave: bool) -> tuple[np.ndarray, np.ndarray]:
+def _inverse_modified(st: MarketStack, eta,
+                      log_eta) -> tuple[np.ndarray, np.ndarray]:
     """Maximizer of S_mod(q) - eta*q per (market, prosumer), with flags.
 
-    eta, log_eta = ln(eta) and shift = ln(eta) + ln(L) + 1 are (m, 1)
-    columns, one entry per market of the stack st; floats stand for the
-    columns of a stack of one. any_non_concave tells whether st.non_concave
-    has a true entry. See marginal_inverse_modified for the choice at a
-    non-concave prosumer; the flags mark maximizers where the shaded curve
-    is locally convex. The non-concave terms are evaluated at q_upper for
-    the concave prosumers, whose entries they do not decide.
+    eta and log_eta = ln(eta) are (m, 1) columns, one entry per market of
+    the stack st; floats stand for the columns of a stack of one. See
+    marginal_inverse_modified for the choice at a non-concave prosumer; the
+    flags mark maximizers where the shaded curve is locally convex. The
+    non-concave terms are evaluated at q_upper for the concave prosumers,
+    whose entries they do not decide.
     """
     L, lo, hi = st.lengths, st.q_lower, st.q_upper
     q = np.clip(_shaded_root(st.rates, st.log_rates, st.rate_lengths, L,
-                             log_eta, shift), lo, hi)
-    if not any_non_concave:
+                             log_eta, log_eta + st.log_lengths + 1.0),
+                lo, hi)
+    if not np.count_nonzero(st.non_concave):
         return q, np.zeros(q.shape, dtype=bool)
     nc = st.non_concave
     fall = np.where(nc, q, hi)
@@ -198,11 +200,6 @@ def _inverse_modified(st: MarketStack, eta, log_eta, shift,
     # the eq21 threshold 1/r - L, which lies below every q of a concave
     # prosumer
     return q, ~_eq21_ok(q, st.thresholds)
-
-
-def _column(values: list) -> np.ndarray:
-    """The (m, 1) column of per-market values."""
-    return np.array(values)[:, None]
 
 
 def _positive(eta: float) -> float:
@@ -230,10 +227,7 @@ def marginal_inverse_modified(config: MarketConfig,
     marginal's peak on the interval and its Lagrangian value is at least
     the one at -s_max (the larger q on ties), and -s_max is taken otherwise.
     """
-    st, log_eta = config.stack, math.log(_positive(eta))
-    q, flags = _inverse_modified(st, eta, log_eta,
-                                 log_eta + st.log_lengths + 1.0,
-                                 bool(st.non_concave.any()))
+    q, flags = _inverse_modified(config.stack, eta, math.log(_positive(eta)))
     return q[0], flags[0]
 
 
@@ -260,76 +254,72 @@ def _bracket(st: MarketStack, mode: str) -> tuple[list, list, list]:
     """Per-market closed-form sign bracket (eta_lo, eta_hi), or an error.
 
     The bracket is widened from the marginals. Its top is the largest
-    marginal on [-s_max, q_upper]: the shaded marginal rises below the eq21
-    threshold and falls above it, so it peaks at the threshold clipped to
-    the interval, where it is positive even when the marginal at -s_max is
-    not. Above the top every prosumer takes -s_max. Below the bottom every
-    competitive q_i is positive and, unless the floor 1e-300 holds the
-    bottom, every concave shaded prosumer takes q_upper.
+    marginal on [-s_max, q_upper]: S' at -s_max, or the shaded marginal at
+    its peak (MarketStack.peak_marginal), where it is positive even when
+    the marginal at -s_max is not. Above the top every prosumer takes
+    -s_max. Below the bottom every competitive q_i is positive and, unless
+    the floor 1e-300 holds the bottom, every concave shaded prosumer takes
+    q_upper.
     """
     lo, hi, L = st.q_lower, st.q_upper, st.lengths
+    shaded = mode == MODE_MODIFIED
     # where the exponent clamp engages at a steep prosumer, the largest
     # marginal, and so the top, can exceed the float range and read inf
     with np.errstate(over="ignore"):
-        if mode == MODE_TRUE:
+        if shaded:
+            m_upper = _shaded_marginal(st.rates, L, hi, warn=False)
+            m_peak = st.peak_marginal
+        else:
             m_upper = _marginal(st.rates, hi, warn=False)
             m_peak = _marginal(st.rates, lo, warn=False)
-        else:
-            m_upper = _shaded_marginal(st.rates, L, hi, warn=False)
-            m_peak = _shaded_marginal(st.rates, L,
-                                      np.clip(st.thresholds, lo, hi),
-                                      warn=False)
-    # widened in Python floats, where a top that leaves the float range
-    # becomes inf without a warning
-    eta_lo = [max(v / _BRACKET_WIDEN, 1e-300)
-              for v in m_upper.min(axis=1).tolist()]
-    eta_hi = [v * _BRACKET_WIDEN for v in m_peak.max(axis=1).tolist()]
+        eta_lo = np.maximum(m_upper.min(axis=1) / _BRACKET_WIDEN, 1e-300)
+        eta_hi = m_peak.max(axis=1) * _BRACKET_WIDEN
     errors = [None] * len(eta_lo)
-    if mode == MODE_TRUE:
-        return eta_lo, eta_hi, errors
-    all_nc = st.non_concave.all(axis=1).tolist()
-    if True not in all_nc:
-        return eta_lo, eta_hi, errors
-    # a non-concave prosumer takes q_upper exactly when eta is at most its
-    # reach, the lesser of its marginal at q_upper and its chord slope from
-    # -s_max, and -s_max at every eta above a reach that is its chord slope.
-    # One prosumer at q_upper balances the rest at -s_max, so excess demand
-    # is non-negative up to the largest reach and -N*s_max above it when
-    # that reach lies below the bracket. A prosumer whose chord slope is not
-    # positive prefers -s_max to every q at every price. Where the marginals
-    # at q_upper underflow, so can the reach; the bottom then stops at the
-    # least positive float.
-    s_upper = _shaded_utility(st.rates, st.offsets, L, st.d_min, hi,
-                              warn=False, antideriv_dmin=st.antideriv_dmin)
-    chord = (s_upper - st.utility_lo) / (hi + st.s_max)
-    top_chord = chord.max(axis=1).tolist()
-    reach = np.minimum(m_upper, chord).max(axis=1).tolist()
-    n = st.rates.shape[1]
-    for k, every in enumerate(all_nc):
-        if every and top_chord[k] <= 0:
+    # per market, whether every shaded curve is non-concave
+    every = shaded and st.non_concave.all(axis=1)
+    if np.count_nonzero(every):
+        # a non-concave prosumer takes q_upper exactly when eta is at most
+        # its reach, the lesser of its marginal at q_upper and its chord
+        # slope from -s_max, and -s_max at every eta above a reach that is
+        # its chord slope. One prosumer at q_upper balances the rest at
+        # -s_max, so excess demand is non-negative up to the largest reach
+        # and -N*s_max above it when that reach lies below the bracket. A
+        # prosumer whose chord slope is not positive prefers -s_max to
+        # every q at every price. Where the marginals at q_upper underflow,
+        # so can the reach; the bottom then stops at the least positive
+        # float.
+        s_upper = _shaded_utility(st.rates, st.offsets, L, st.d_min, hi,
+                                  warn=False, antideriv_dmin=st.antideriv_dmin)
+        chord = (s_upper - st.utility_lo) / (hi + st.s_max)
+        failed = every & (chord.max(axis=1) <= 0)
+        reach = np.minimum(m_upper, chord).max(axis=1)
+        eta_lo = np.where(every & ~failed & (reach < eta_lo),
+                          np.maximum(reach / _BRACKET_WIDEN, math.ulp(0.0)),
+                          eta_lo)
+        n = st.rates.shape[1]
+        for k in np.flatnonzero(failed).tolist():
             excess = -n * float(st.s_max[k, 0])
             errors[k] = (
                 "no balancing price: every prosumer prefers -s_max at every "
                 f"price (eta range [{eta_lo[k]:g}, {eta_hi[k]:g}], "
                 f"excess [{excess:g}, {excess:g}])")
-        elif every and reach[k] < eta_lo[k]:
-            eta_lo[k] = max(reach[k] / _BRACKET_WIDEN, math.ulp(0.0))
-    return eta_lo, eta_hi, errors
+    return eta_lo.tolist(), eta_hi.tolist(), errors
 
 
 class _Batch(NamedTuple):
     """The dual searches of every market of a stack in one mode.
 
-    Every field but passes is a list with one entry per market: its
-    quantities and flags (n-arrays), price and total (sum q) at its
-    evaluation of least |sum q|, its number of excess evaluations, and the
-    BracketFailure text of a market that has no balancing price (whose
-    quantities are nan and flags False), else None. passes counts the
-    lockstep evaluations of the whole stack.
+    Row k of the (m, n) arrays quantities and flags holds market k's
+    quantities and flags at its evaluation of least |sum q|; prices and
+    totals list each market's price and total (sum q) there, iterations its
+    number of excess evaluations, and errors the BracketFailure text of a
+    market that has no balancing price (whose quantities, price and total
+    are nan and flags False), else None. passes counts the lockstep
+    evaluations of the whole stack.
     """
 
-    quantities: list
-    flags: list
+    quantities: np.ndarray
+    flags: np.ndarray
     prices: list
     totals: list
     iterations: list
@@ -354,7 +344,8 @@ def _solve_stack(st: MarketStack, mode: str) -> _Batch:
     _MAX_STEPS evaluations.
 
     Each pass evaluates every market still searching with one numpy call
-    per kernel, and the markets that settle are then dropped from the
+    per kernel, writes each market's evaluation into the result when it
+    lowers its |sum q|, and then drops the markets that settle from the
     stack, so that a market's evaluations do not depend on which other
     markets share its stack.
     """
@@ -367,34 +358,31 @@ def _solve_stack(st: MarketStack, mode: str) -> _Batch:
          for x0, lo, hi in zip(st.log_price0.tolist(), a, b)]
     last = [False] * m
     iterations = [0] * m
-    # per market: (|sum q|, sum q, eta, q, flags, row) of its best
-    # evaluation, whose quantities and flags are row `row` of q and flags
-    best = [None] * m
+    quantities = np.full((m, n), np.nan)
+    flags = np.zeros((m, n), dtype=bool)
+    prices, totals = [math.nan] * m, [math.nan] * m
     active = [k for k in range(m) if errors[k] is None]
     if len(active) < m:
         st = MarketStack(*(field[active] for field in st))
-    if shaded:
-        any_non_concave = bool(st.non_concave.any())
-    else:
-        no_flags = np.zeros((m, n), dtype=bool)
     passes = 0
     while active and passes < _MAX_STEPS:
         passes += 1
         etas = [math.exp(x[k]) for k in active]
+        eta = np.array(etas)[:, None]
         if shaded:
-            log_eta = _column([math.log(v) for v in etas])
-            q, flags = _inverse_modified(
-                st, _column(etas), log_eta, log_eta + st.log_lengths + 1.0,
-                any_non_concave)
+            q, convex = _inverse_modified(
+                st, eta, np.array([math.log(v) for v in etas])[:, None])
         else:
-            q, flags = _inverse_true(st, _column(etas)), no_flags
-        totals = q.sum(axis=1).tolist()
+            q = _inverse_true(st, eta)
+        sums = q.sum(axis=1).tolist()
         scales = np.abs(q).sum(axis=1).tolist()
         settled, going = [], []
-        for j, (k, e) in enumerate(zip(active, totals)):
+        for j, (k, e) in enumerate(zip(active, sums)):
             iterations[k] += 1
-            if best[k] is None or abs(e) < best[k][0]:
-                best[k] = (abs(e), e, etas[j], q, flags, j)
+            if iterations[k] == 1 or abs(e) < abs(totals[k]):
+                quantities[k], prices[k], totals[k] = q[j], etas[j], e
+                if shaded:
+                    flags[k] = convex[j]
             if last[k] or abs(e) <= _SUM_ROUNDING * scales[j]:
                 settled.append(j)
                 continue
@@ -407,7 +395,7 @@ def _solve_stack(st: MarketStack, mode: str) -> _Batch:
             free = (q > st.q_lower) & (q < st.q_upper)
             slopes = _slopes(st, q, free, shaded)
         for j in going:
-            k, e, d = active[j], totals[j], slopes[j]
+            k, e, d = active[j], sums[j], slopes[j]
             if shaded:
                 d *= etas[j]
             step = -e / d if d < 0 and math.isfinite(d) else math.nan
@@ -427,18 +415,8 @@ def _solve_stack(st: MarketStack, mode: str) -> _Batch:
             active = [active[j] for j in kept]
             if active:
                 st = MarketStack(*(field[kept] for field in st))
-                any_non_concave = shaded and bool(st.non_concave.any())
-    return _Batch(
-        quantities=[np.full(n, np.nan) if s is None else s[3][s[5]]
-                    for s in best],
-        flags=[np.zeros(n, dtype=bool) if s is None else s[4][s[5]]
-               for s in best],
-        prices=[math.nan if s is None else s[2] for s in best],
-        totals=[math.nan if s is None else s[1] for s in best],
-        iterations=iterations,
-        errors=errors,
-        passes=passes,
-    )
+    return _Batch(quantities, flags, prices, totals, iterations, errors,
+                  passes)
 
 
 def solve_dual(config: MarketConfig, mode: str) -> SolveResult:
@@ -469,11 +447,13 @@ def solve_dual(config: MarketConfig, mode: str) -> SolveResult:
     eta, total = batch.prices[0], batch.totals[0]
     s_max, q_upper = config.s_max, config.q_upper
     rates = config.rates
-    if mode == MODE_TRUE:
-        m = _marginal(rates, qs, warn=False)
-    else:
-        m = _shaded_marginal(rates, float(config.stack.lengths[0, 0]), qs,
-                             warn=False)
+    # a steep prosumer at -s_max can have a marginal beyond the float range
+    with np.errstate(over="ignore"):
+        if mode == MODE_TRUE:
+            m = _marginal(rates, qs, warn=False)
+        else:
+            m = _shaded_marginal(rates, float(config.stack.lengths[0, 0]),
+                                 qs, warn=False)
     at_capacity = np.abs(qs + s_max) <= config.tol_root
     at_upper = qs >= q_upper - config.tol_root
     residuals = np.where(at_capacity, np.maximum(0.0, m - eta),

@@ -221,10 +221,9 @@ class TestBatchComposition:
                                       replace=False))
             sub = solver._solve_stack(
                 MarketStack(*(field[rows] for field in stack)), mode)
-            np.testing.assert_array_equal(
-                sub.quantities, np.array(full.quantities)[rows])
-            np.testing.assert_array_equal(sub.flags,
-                                          np.array(full.flags)[rows])
+            np.testing.assert_array_equal(sub.quantities,
+                                          full.quantities[rows])
+            np.testing.assert_array_equal(sub.flags, full.flags[rows])
             for name in ("prices", "totals", "iterations", "errors"):
                 expected = [getattr(full, name)[k] for k in rows]
                 assert repr(getattr(sub, name)) == repr(expected), name

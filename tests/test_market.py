@@ -22,6 +22,7 @@ from prosumer_market import (
     modified_utility_deriv2,
     quantity_from_bid,
 )
+from prosumer_market.market import market_stack
 
 # independently computed with 40-digit arithmetic
 S_BETA25_D4_AT0 = -0.3934693402873665764
@@ -273,3 +274,35 @@ class TestMarketConfig:
         kwargs[field] = (2.0, value) if field == "betas" else value
         with pytest.raises(DomainError, match="finite"):
             MarketConfig(**kwargs)
+
+
+class TestMarketStack:
+    def test_peak_marginal_is_the_largest_shaded_marginal(self):
+        # a grid over [-s_max, q_upper], zoomed onto its argmax three times,
+        # finds each prosumer's largest shaded marginal to rounding
+        rng = np.random.default_rng(8)
+        n = 5
+        betas = np.array([0.3, 0.8, 1.5, 2.5, 4.0])
+        d_min = rng.uniform(0.2, 3.0, 60)
+        s_max = rng.uniform(0.05, 2.0, 60) * (n - 1) * d_min
+        stack = market_stack(betas, d_min, s_max)
+        kinds = set()
+        for k in range(d_min.size):
+            r = betas / (5.0 * d_min[k])
+            L = (n - 1) * d_min[k]
+            lo, hi = -s_max[k], (n - 1) * s_max[k]
+            a, b = np.full(n, lo), np.full(n, hi)
+            for _ in range(4):
+                grid = a[:, None] + np.outer(b - a, np.linspace(0, 1, 10_001))
+                m = (1.0 + grid / L) * r[:, None] * np.exp(-r[:, None] * grid)
+                j = np.argmax(m, axis=1)
+                peak = grid[np.arange(n), j]
+                cell = (b - a) / 10_000
+                a, b = np.maximum(peak - cell, lo), np.minimum(peak + cell, hi)
+            np.testing.assert_allclose(stack.peak_marginal[k], m.max(axis=1),
+                                       rtol=1e-12)
+            thresholds = 1.0 / r - L
+            kinds.update(np.where(thresholds <= lo, "concave",
+                                  np.where(thresholds < hi, "interior",
+                                           "upper")).tolist())
+        assert kinds == {"concave", "interior", "upper"}

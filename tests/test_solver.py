@@ -395,6 +395,18 @@ class TestSolveDual:
             assert np.all(res.allocation.kkt_residuals[interior] <= cfg.tol_kkt)
             assert res.price > 0
 
+    def test_residuals_at_overflowing_capacity_marginals(self):
+        # prosumers 0 and 1 end at -s_max, where the clamped shaded
+        # marginal r*exp(700)*(1 - s_max/L) leaves the float range
+        cfg = MarketConfig(3, 0.1, 0.3, (1e4, 1e3, 2.0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("error")
+            warnings.simplefilter("always", SaturationWarning)
+            res = solve_dual(cfg, MODE_MODIFIED)
+        assert [w.category for w in caught] == [SaturationWarning]
+        assert res.allocation.kkt_residuals.tolist() == [0.0, 0.0, 0.0]
+        assert res.allocation.at_capacity.tolist() == [True, True, False]
+
     def test_bounded_panel_has_no_flags(self):
         # conditions hold on this configuration, so no prosumer is flagged
         cfg = MarketConfig(11, 4.0, 3.0,
