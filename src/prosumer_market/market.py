@@ -195,12 +195,14 @@ def market_stack(betas, d_min, s_max) -> MarketStack:
     thresholds = 5.0 * d / b - (n - 1) * d
     nc = thresholds > lo
     a_dmin = _antideriv(rates, offsets, d, warn=False)
-    utility_lo = _shaded_utility(rates, offsets, L, d, np.where(nc, lo, hi),
-                                 warn=False, antideriv_dmin=a_dmin)
-    # the shaded marginal rises below the eq21 threshold and falls above
-    # it; where the exponent clamp engages at a steep prosumer's peak, the
-    # peak exceeds the float range and reads inf, above every price
+    # where the exponent clamp engages at a steep prosumer, S_mod(-s_max)
+    # and the shaded marginal's peak can exceed the float range: the peak
+    # then reads inf, above every price. The shaded marginal rises below
+    # the eq21 threshold and falls above it
     with np.errstate(over="ignore"):
+        utility_lo = _shaded_utility(rates, offsets, L, d,
+                                     np.where(nc, lo, hi), warn=False,
+                                     antideriv_dmin=a_dmin)
         peak_marginal = _shaded_marginal(rates, L,
                                          np.clip(thresholds, lo, hi),
                                          warn=False)

@@ -34,13 +34,19 @@ can jump.
 One search serves every mode and regime: a safeguarded Newton search in
 x = ln(eta) (Palomar & Chiang, IEEE JSAC 2006, for the decomposition), with
 slope -sum 1/r_i (true) or sum eta/S_mod''(q_i) (shaded) over the prosumers
-strictly inside their bounds, and the midpoint of its bracket wherever a
-Newton step would leave it. Its bracket is a closed-form sign bracket that
-is never evaluated: excess demand is non-negative at its bottom and
-negative at its top. Where excess demand is smooth the search settles in a few
+strictly inside their bounds, and a safeguard step wherever a Newton step
+would leave its bracket. Its bracket is a closed-form sign bracket that is
+never evaluated: excess demand is non-negative at its bottom and negative
+at its top. Where excess demand is smooth the search settles in a few
 evaluations; where it jumps across the balance point the bracket closes on
 the jump, and the solver returns the eta minimizing |excess| with its
-residual.
+residual. The safeguard step is the bracket's midpoint, except where the
+evaluated bracket ends differ in the branch of exactly one non-concave
+prosumer: the step then goes to that prosumer's switch price, estimated by
+a Newton step on its Lagrangian gap between the falling root and -s_max,
+and probes off a bracket end by a doubling number of ulps once that
+estimate stalls there. A jump row then closes in about a dozen
+evaluations instead of bisecting ln(eta) down to adjacent floats.
 
 The search runs in lockstep over a stack of m markets that share the
 prosumers' betas (market.MarketStack: the points of a sweep, or one
@@ -171,8 +177,7 @@ def _inverse_true(st: MarketStack, eta) -> np.ndarray:
     return np.clip(-np.log(eta / st.rates) / st.rates, st.q_lower, st.q_upper)
 
 
-def _inverse_modified(st: MarketStack, eta,
-                      log_eta) -> tuple[np.ndarray, np.ndarray]:
+def _inverse_modified(st: MarketStack, eta, log_eta):
     """Maximizer of S_mod(q) - eta*q per (market, prosumer), with flags.
 
     eta and log_eta = ln(eta) are (m, 1) columns, one entry per market of
@@ -180,26 +185,30 @@ def _inverse_modified(st: MarketStack, eta,
     marginal_inverse_modified for the choice at a non-concave prosumer; the
     flags mark maximizers where the shaded curve is locally convex. The
     non-concave terms are evaluated at q_upper for the concave prosumers,
-    whose entries they do not decide.
+    whose entries they do not decide. Returns the quantities, the flags and,
+    when st has a non-concave prosumer, its branches (else None): the (m, n)
+    mask of the prosumers that take -s_max over their falling root, the
+    clipped falling root and its Lagrangian value S_mod(q) - eta*q.
     """
     L, lo, hi = st.lengths, st.q_lower, st.q_upper
     q = np.clip(_shaded_root(st.rates, st.log_rates, st.rate_lengths, L,
                              log_eta, log_eta + st.log_lengths + 1.0),
                 lo, hi)
     if not np.count_nonzero(st.non_concave):
-        return q, np.zeros(q.shape, dtype=bool)
+        return q, np.zeros(q.shape, dtype=bool), None
     nc = st.non_concave
     fall = np.where(nc, q, hi)
     lagrangian_fall = _shaded_utility(
         st.rates, st.offsets, L, st.d_min, fall, warn=False,
         antideriv_dmin=st.antideriv_dmin) - eta * fall
-    keep = ((eta <= st.peak_marginal)
-            & (lagrangian_fall >= st.utility_lo - eta * lo))
-    q = np.where(nc & ~keep, lo, q)
+    dropped = nc & ~((eta <= st.peak_marginal)
+                     & (lagrangian_fall >= st.utility_lo - eta * lo))
+    q = np.where(dropped, lo, q)
     # S_mod'' = (r*exp(-r*q)/L)*(1 - r*(q + L)) is positive exactly below
     # the eq21 threshold 1/r - L, which lies below every q of a concave
     # prosumer
-    return q, ~_eq21_ok(q, st.thresholds)
+    return (q, ~_eq21_ok(q, st.thresholds),
+            (dropped, fall, lagrangian_fall))
 
 
 def _positive(eta: float) -> float:
@@ -227,7 +236,8 @@ def marginal_inverse_modified(config: MarketConfig,
     marginal's peak on the interval and its Lagrangian value is at least
     the one at -s_max (the larger q on ties), and -s_max is taken otherwise.
     """
-    q, flags = _inverse_modified(config.stack, eta, math.log(_positive(eta)))
+    q, flags, _ = _inverse_modified(config.stack, eta,
+                                    math.log(_positive(eta)))
     return q[0], flags[0]
 
 
@@ -306,6 +316,51 @@ def _bracket(st: MarketStack, mode: str) -> tuple[list, list, list]:
     return eta_lo.tolist(), eta_hi.tolist(), errors
 
 
+def _switch_price(st: MarketStack, j: int, low, high) -> float:
+    """Newton estimate of the price where one prosumer jumps to -s_max.
+
+    low and high are (q, branches, row, eta) of the evaluations at a
+    market's bracket ends: the quantities and branches that
+    _inverse_modified returned and the market's row among them; j is its
+    row in st. When the ends differ in which prosumers sit at -s_max by
+    exactly one prosumer i, on its falling root at the low end and switched
+    to -s_max at the high end, its Lagrangian gap
+
+        g(eta) = [S_mod(q_fall) - eta*q_fall] - [S_mod(-s_max) + eta*s_max]
+
+    is convex and decreasing in eta, with slope -(q_fall + s_max), so one
+    Newton step from the low end lands at or below its switch price, the
+    root of g capped at i's peak_marginal. Returns that estimate, or nan
+    when the ends differ otherwise; an S_mod(-s_max) beyond the float range
+    gives -inf.
+    """
+    q, (_, fall, lagrangian), row, eta = low
+    q_high, (dropped, _, _), row_high, _ = high
+    lo = st.q_lower[j]
+    changed = np.flatnonzero((q[row] == lo) != (q_high[row_high] == lo))
+    if changed.size != 1 or not dropped[row_high, changed[0]]:
+        return math.nan
+    i = int(changed[0])
+    lo_i = float(lo[i])
+    gap = float(lagrangian[row, i]) - (float(st.utility_lo[j, i]) - eta * lo_i)
+    return min(eta + gap / (float(fall[row, i]) - lo_i),
+               float(st.peak_marginal[j, i]))
+
+
+def _probe(x: float, a: float, b: float, width: int) -> tuple[float, int]:
+    """A switch estimate x in ln(eta), moved off the bracket end it stalls on.
+
+    An estimate within width ulps of a (or b) is moved to width ulps above a
+    (below b) and the next width doubles; any other estimate stands and the
+    next width is 1.
+    """
+    if x - a < width * math.ulp(a):
+        return a + width * math.ulp(a), 2 * width
+    if b - x < width * math.ulp(b):
+        return b - width * math.ulp(b), 2 * width
+    return x, 1
+
+
 class _Batch(NamedTuple):
     """The dual searches of every market of a stack in one mode.
 
@@ -335,12 +390,19 @@ def _solve_stack(st: MarketStack, mode: str) -> _Batch:
     end stands at the largest finite ln(eta)), from the all-free
     competitive price when that lies inside. The slope of excess demand in
     x is -sum 1/r_i (true) or sum eta/S_mod''(q_i) (shaded) over the
-    prosumers strictly inside their bounds; the search takes the midpoint
-    where a Newton step would leave the bracket or the slope is not
-    negative. A market settles once |sum q| is within the rounding floor of
-    the sum, one evaluation after a Newton step below _NEWTON_XTOL inside
-    the bracket, when such a step lands on an end, when the midpoint is no
-    longer inside the bracket (it has closed on a jump), or after
+    prosumers strictly inside their bounds. Where a Newton step would leave
+    the bracket or the slope is not negative, the search takes a safeguard
+    step: the bracket's midpoint, unless its two evaluated ends differ in
+    which prosumers sit at -s_max by exactly one non-concave prosumer, on its
+    falling root at the low end and switched to -s_max at the high end.
+    Excess demand then jumps at that prosumer's switch price, and the step
+    goes to one Newton estimate of it (_switch_price). An estimate that
+    stalls within a few ulps of an end probes off that end by 1, 2, 4, ...
+    ulps instead (_probe), so the bracket closes on the float pair around
+    the jump. A market settles once |sum q| is within the rounding floor
+    of the sum, one evaluation after a Newton step below _NEWTON_XTOL
+    inside the bracket, when such a step lands on an end, when the midpoint
+    is no longer inside the bracket (it has closed on a jump), or after
     _MAX_STEPS evaluations.
 
     Each pass evaluates every market still searching with one numpy call
@@ -357,6 +419,9 @@ def _solve_stack(st: MarketStack, mode: str) -> _Batch:
     x = [x0 if lo < x0 < hi else 0.5 * (lo + hi)
          for x0, lo, hi in zip(st.log_price0.tolist(), a, b)]
     last = [False] * m
+    # per market, the branches of its evaluations at a and at b, and the
+    # ulps by which a stalled switch estimate probes off a bracket end
+    lows, highs, probes = [None] * m, [None] * m, [1] * m
     iterations = [0] * m
     quantities = np.full((m, n), np.nan)
     flags = np.zeros((m, n), dtype=bool)
@@ -369,8 +434,9 @@ def _solve_stack(st: MarketStack, mode: str) -> _Batch:
         passes += 1
         etas = [math.exp(x[k]) for k in active]
         eta = np.array(etas)[:, None]
+        branches = None
         if shaded:
-            q, convex = _inverse_modified(
+            q, convex, branches = _inverse_modified(
                 st, eta, np.array([math.log(v) for v in etas])[:, None])
         else:
             q = _inverse_true(st, eta)
@@ -389,8 +455,12 @@ def _solve_stack(st: MarketStack, mode: str) -> _Batch:
             going.append(j)
             if e > 0:
                 a[k] = x[k]
+                if branches is not None:
+                    lows[k] = (q, branches, j, etas[j])
             else:
                 b[k] = x[k]
+                if branches is not None:
+                    highs[k] = (q, branches, j, etas[j])
         if going:
             free = (q > st.q_lower) & (q < st.q_upper)
             slopes = _slopes(st, q, free, shaded)
@@ -410,6 +480,13 @@ def _solve_stack(st: MarketStack, mode: str) -> _Batch:
                 x[k] = 0.5 * (a[k] + b[k])
                 if not a[k] < x[k] < b[k]:
                     settled.append(j)
+                elif lows[k] and highs[k]:
+                    eta_s = _switch_price(st, j, lows[k], highs[k])
+                    if 0.0 < eta_s < math.inf:
+                        xs, probes[k] = _probe(math.log(eta_s), a[k], b[k],
+                                               probes[k])
+                        if a[k] < xs < b[k]:
+                            x[k] = xs
         if settled:
             kept = sorted(set(range(len(active))) - set(settled))
             active = [active[j] for j in kept]
@@ -425,14 +502,16 @@ def solve_dual(config: MarketConfig, mode: str) -> SolveResult:
     Returns the allocation with its stationarity residuals, the recovered
     bids theta_i = eta*(q_i - d_min), and the true welfare sum_i S_i(q_i)
     (evaluated with the actual curves in both modes). converged reports
-    whether |sum q_i| reached tol_root. The search is the lockstep search of
-    a stack of one market: a safeguarded Newton search in ln(eta) from the
-    all-free competitive price on a closed-form sign bracket; iterations
-    counts its excess evaluations. In the modified mode's non-concave
-    regime the argmax can jump across the balance point; the search then
-    stops once its bracket closes on the jump, the best available eta is
-    returned, the residual recorded, and the affected prosumers listed in
-    non_concave_prosumers. Raises BracketFailure, before any evaluation,
+    whether |sum q_i| is within tol_root or within the rounding floor of
+    the sum, 8*eps*sum |q_i|, at which the search stops, whichever is
+    larger. The search is the lockstep search of a stack of one market: a
+    safeguarded Newton search in ln(eta) from the all-free competitive
+    price on a closed-form sign bracket; iterations counts its excess
+    evaluations. In the modified mode's non-concave regime the argmax can
+    jump across the balance point; the search then stops once its bracket
+    closes on the jump, the best available eta is returned, the residual
+    recorded, and the affected prosumers listed in non_concave_prosumers.
+    Raises BracketFailure, before any evaluation,
     when every shaded curve is non-concave and no higher at q_upper than at
     -s_max, so that every prosumer prefers -s_max at every price and excess
     demand is -N*s_max everywhere. Emits one SaturationWarning when the
@@ -467,7 +546,8 @@ def solve_dual(config: MarketConfig, mode: str) -> SolveResult:
         thetas=eta * (qs - config.d_min),
         price=eta,
         welfare_true=float(_welfares(config.stack, qs[None])[0]),
-        converged=bool(abs(total) <= config.tol_root),
+        converged=bool(abs(total) <= config.tol_root or abs(total)
+                       <= _SUM_ROUNDING * float(np.abs(qs).sum())),
         iterations=batch.iterations[0],
         mode=mode,
         non_concave_prosumers=tuple(np.flatnonzero(flags).tolist()),

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from prosumer_market import (
+    BracketFailure,
     DomainError,
     ExponentialUtility,
     InvalidBids,
@@ -21,6 +22,7 @@ from prosumer_market import (
     modified_utility_deriv,
     modified_utility_deriv2,
     quantity_from_bid,
+    solve_dual,
 )
 from prosumer_market.market import market_stack
 
@@ -306,3 +308,13 @@ class TestMarketStack:
                                   np.where(thresholds < hi, "interior",
                                            "upper")).tolist())
         assert kinds == {"concave", "interior", "upper"}
+
+    def test_steep_capacity_utility_builds_without_warnings(self):
+        # r*s_max = 2e8: the clamped S_mod(-s_max) leaves the float range
+        cfg = MarketConfig(2, 1.0, 1e5, (1e4, 1e4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stack = cfg.stack
+        assert np.isinf(stack.utility_lo).all()
+        with pytest.raises(BracketFailure):
+            solve_dual(cfg, "modified")

@@ -496,7 +496,8 @@ class TestSolveDual:
     def test_solves_take_few_iterations(self):
         # every solve searches ln(eta) by Newton steps, so balanced solves
         # take few evaluations; the one unbalanced case-study row stops once
-        # its bracket closes on the jump (200 evaluations without that stop)
+        # its bracket closes on the jump (200 evaluations without that stop),
+        # which the switch step finds in 11 (48 by bisection)
         assert solve_dual(symmetric_config(), MODE_TRUE).iterations >= 1
         gap_rows = []
         for panel in PANELS:
@@ -509,8 +510,19 @@ class TestSolveDual:
                         assert res.iterations <= 12, (panel, value, mode)
                     else:
                         gap_rows.append((panel, float(value), mode))
-                        assert res.iterations <= 64, (panel, value, mode)
+                        assert res.iterations <= 16, (panel, value, mode)
         assert gap_rows == [("capacity_unbounded", 4.5, MODE_MODIFIED)]
+
+    @pytest.mark.parametrize("mode", [MODE_TRUE, MODE_MODIFIED])
+    def test_converged_at_rounding_floor(self, mode):
+        # the search stops at the rounding floor of the sum, 8*eps*sum |q_i|,
+        # which lies above a tol_root at the float resolution
+        cfg = MarketConfig(3, 2.0, 0.6, (3.5, 4.0, 5.5),
+                           tol_root=sys.float_info.epsilon)
+        res = solve_dual(cfg, mode)
+        floor = 8.0 * sys.float_info.epsilon * np.abs(res.quantities).sum()
+        assert cfg.tol_root < abs(res.balance_residual) <= floor
+        assert res.converged
 
     @pytest.mark.parametrize("mode", [MODE_TRUE, MODE_MODIFIED])
     @pytest.mark.parametrize("beta", [1e3, 1e4])
@@ -791,6 +803,60 @@ class TestAgainstBisection:
             # about 59 evaluations when the bottom is found by widening
             assert res.iterations <= 12
             checked += 1
+
+
+class TestSwitchStep:
+    """A bracket around one prosumer's jump closes at its switch price."""
+
+    def test_random_jump_rows_take_few_evaluations(self):
+        # bisecting every safeguard step took 55 evaluations per unbalanced
+        # solve on average here, and up to 65
+        rng = np.random.default_rng(2026)
+        counts = []
+        for _ in range(400):
+            cfg = _random_non_concave_market(rng)
+            try:
+                res = solve_dual(cfg, MODE_MODIFIED)
+            except BracketFailure:
+                continue
+            if res.converged:
+                continue
+            counts.append(res.iterations)
+            assert res.iterations <= 64
+            # excess demand changes sign within a few floats of eta past the
+            # price: the bracket still closes on adjacent floats of ln(eta),
+            # which lie several floats of eta apart where |ln(eta)| > 1.
+            # Where excess is flat or rounds unevenly, the evaluation of
+            # least |sum q| can sit a float off the bracket end
+            up = res.balance_residual > 0
+            eta = res.price
+            for _ in range(16):
+                eta = math.nextafter(eta, math.inf if up else 0.0)
+                if (marginal_inverse_modified(cfg, eta)[0].sum() > 0) != up:
+                    break
+            else:
+                pytest.fail(f"no sign change near {res.price!r} for {cfg}")
+        assert len(counts) >= 80
+        assert sum(counts) / len(counts) <= 20
+
+    def test_estimate_from_bracket_ends(self):
+        # the case-study gap row jumps where prosumer 2 switches to -s_max
+        cfg = case_study_spec("capacity_unbounded", steps=30).config_at(4.5)
+        st = cfg.stack
+        ends = []
+        for eta in (0.18, 0.19):
+            q, _, branches = solver._inverse_modified(st, eta, math.log(eta))
+            ends.append((q, branches, 0, eta))
+        estimate = solver._switch_price(st, 0, *ends)
+        assert 0.18 < estimate <= 0.18186706717583
+        # with S_mod(-s_max) out of the float range there is no estimate
+        # inside the bracket, so the search takes the midpoint
+        inf_lo = st._replace(utility_lo=np.full_like(st.utility_lo, np.inf))
+        assert not 0.18 < solver._switch_price(inf_lo, 0, *ends) < 0.19
+        # two prosumers that switch between the ends give no estimate
+        q, _, branches = solver._inverse_modified(st, 1.0, 0.0)
+        assert math.isnan(solver._switch_price(st, 0, ends[0],
+                                               (q, branches, 0, 1.0)))
 
 
 class TestRecoverBids:
