@@ -2,68 +2,55 @@
 """Time the verifiers on the certify workload's inputs; write a BENCH json.
 
 Usage:
-    python scripts/bench_verifiers.py [--src SRC] [--label NAME]
+    python scripts/bench_verifiers.py [--src SRC] [--baseline SRC]
+                                      [--rounds N] [--out PATH]
 
-The script imports prosumer_market from SRC (default: the src/ directory of
-this tree), so the same script measures another checkout, such as a parent
-commit, by pointing --src at that checkout's src/. The inputs are those of
-perfbench's certify workload at seed SEED: best_response at 200000 grid
-points for every prosumer of four Nash points of the case study, and
-brute_force_program at grid 2001 on one N=2 and one N=3 market. It records,
-under runs[NAME] of BENCH_verifiers.json at the root of this tree (other
-runs in the file are kept):
+The runs follow scripts/interleave.py: a child process per tree and round,
+and with --baseline a second source tree, such as a parent commit's src/,
+run in alternating order against SRC. The inputs are those of perfbench's
+certify workload at seed SEED: best_response at 200000 grid points for
+every prosumer of four Nash points of the case study, and
+brute_force_program at grid 2001 on one N=2 and one N=3 market. A child
+records, in this order:
 
-  * brute_force_ms: each market and mode, one untimed warm-up call, then
-    ROUNDS timed calls;
-  * best_response_ms: every best_response call of the workload, ROUNDS
-    times over, first in a process that has made no brute-force call
-    ("fresh"), then in the same process right after one N=3 brute-force
-    call ("after_brute_force"). The allocator's mmap threshold, which a
-    large freed array raises, can make these two differ;
-  * peak_rss_mb: the peak resident set of each measuring process, and of
-    the best-response process before its brute-force call;
-  * the Python and numpy versions and the CPU count of the host.
+  * best_response_ms.fresh: every best_response call of the workload,
+    SAMPLES times over, in a process that has made no brute-force call;
+  * brute_force_ms.<market and mode>: one untimed warm-up call, then
+    SAMPLES timed calls, for each market and mode;
+  * best_response_ms.after_brute_force: the best_response calls again,
+    right after the brute-force calls. The allocator's mmap threshold,
+    which a large freed array raises, can make these two differ;
+  * peak_rss_mb.fresh and peak_rss_mb.after_brute_force: the child's peak
+    resident set after each best_response measurement.
 
-Timings are medians and quartiles in ms. Each of the two measuring
-processes is started fresh, one at a time.
+The output file defaults to BENCH_verifiers.json at the root of this tree.
 """
 
-import argparse
-import json
-import multiprocessing
-import os
-import platform
 import resource
-import statistics
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-OUT = ROOT / "BENCH_verifiers.json"
+import interleave
+
+OUT = interleave.ROOT / "BENCH_verifiers.json"
 BEST_RESPONSE_GRID = 200_000
 BRUTE_FORCE_GRID = 2001
-# timed rounds per measurement, and the certify workload's seed
-ROUNDS = 7
+# child processes per tree, timed samples per child and measurement, and
+# the certify workload's seed
+ROUNDS = 10
+SAMPLES = 3
 SEED = 1
-
-
-def _summary(samples_s):
-    q1, median, q3 = statistics.quantiles(samples_s, n=4, method="inclusive")
-    return {"median": median * 1e3, "q1": q1 * 1e3, "q3": q3 * 1e3,
-            "samples": len(samples_s)}
 
 
 def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
-def _certify_inputs(src: str):
-    """The package under src and the certify workload's inputs."""
-    sys.path.insert(0, src)
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import prosumer_market as pm
+def _certify_inputs(pm):
+    """The certify workload's best_response calls and brute-force markets."""
+    sys.path.insert(0, str(interleave.ROOT / "perfbench"))
     import workloads
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -72,93 +59,60 @@ def _certify_inputs(src: str):
     calls = [(i, thetas, config)
              for config, m, thetas, _ in certify.nash_points
              for i in range(m.n)]
-    return pm, calls, certify.small
+    return calls, certify.small
 
 
-def _brute_force_ms(pm, config, mode):
+def _brute_force_ms(pm, config, mode) -> list:
     samples = []
-    for _ in range(ROUNDS + 1):
+    for _ in range(SAMPLES + 1):
         t0 = time.perf_counter()
         pm.brute_force_program(config, mode, grid_points=BRUTE_FORCE_GRID)
-        samples.append(time.perf_counter() - t0)
-    return _summary(samples[1:])
+        samples.append((time.perf_counter() - t0) * 1e3)
+    return samples[1:]
 
 
-def _best_response_ms(pm, calls):
+def _best_response_ms(pm, calls) -> list:
     samples = []
-    for _ in range(ROUNDS):
+    for _ in range(SAMPLES):
         for i, thetas, config in calls:
             t0 = time.perf_counter()
             pm.best_response(i, thetas, config,
                              grid_points=BEST_RESPONSE_GRID)
-            samples.append(time.perf_counter() - t0)
-    return _summary(samples)
+            samples.append((time.perf_counter() - t0) * 1e3)
+    return samples
 
 
-def measure_brute_force(src: str) -> dict:
-    pm, _, small = _certify_inputs(src)
-    times = {f"N={config.n_prosumers} {mode}": _brute_force_ms(pm, config, mode)
-             for config in small
-             for mode in (pm.MODE_TRUE, pm.MODE_MODIFIED)}
-    return {"brute_force_ms": times, "peak_rss_mb": _peak_rss_mb()}
-
-
-def measure_best_response(src: str) -> dict:
-    pm, calls, small = _certify_inputs(src)
-    fresh = _best_response_ms(pm, calls)
-    rss_fresh = _peak_rss_mb()
-    n3 = next(c for c in small if c.n_prosumers == 3)
-    pm.brute_force_program(n3, pm.MODE_TRUE, grid_points=BRUTE_FORCE_GRID)
-    after = _best_response_ms(pm, calls)
-    return {"best_response_ms": {"fresh": fresh, "after_brute_force": after},
-            "peak_rss_mb": {"fresh": rss_fresh,
-                            "after_brute_force": _peak_rss_mb()},
-            "calls_per_round": len(calls)}
-
-
-def _in_fresh_process(fn, src: str) -> dict:
-    with multiprocessing.get_context("spawn").Pool(1) as pool:
-        return pool.apply(fn, (src,))
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", type=Path, default=ROOT / "src",
-                        help="directory holding the prosumer_market package")
-    parser.add_argument("--label", default="this_tree",
-                        help="name of this run in the output file")
-    args = parser.parse_args(argv)
-    src = args.src.resolve()
-    if not (src / "prosumer_market" / "__init__.py").is_file():
-        parser.error(f"no prosumer_market package under {src}")
-
-    brute = _in_fresh_process(measure_brute_force, str(src))
-    best = _in_fresh_process(measure_best_response, str(src))
+def measure(pm) -> dict:
     import numpy as np
-    result = {
-        "brute_force_ms": brute["brute_force_ms"],
-        "best_response_ms": best["best_response_ms"],
-        "best_response_calls_per_round": best["calls_per_round"],
-        "peak_rss_mb": {"brute_force_process": brute["peak_rss_mb"],
-                        "best_response_process": best["peak_rss_mb"]},
-        "host": {"python": platform.python_version(),
-                 "numpy": np.__version__, "cpu_count": os.cpu_count(),
-                 "machine": platform.machine()},
-        "rounds": ROUNDS,
-        "seed": SEED,
-    }
-    bench = json.loads(OUT.read_text()) if OUT.is_file() else {}
-    bench.setdefault("script", "scripts/bench_verifiers.py")
-    bench.setdefault("runs", {})[args.label] = result
-    OUT.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
-    br = result["best_response_ms"]
-    print(f"{args.label}: "
-          + ", ".join(f"brute force {k} {v['median']:.1f} ms"
-                      for k, v in result["brute_force_ms"].items())
-          + f"; best response fresh {br['fresh']['median']:.2f} ms, after "
-          f"brute force {br['after_brute_force']['median']:.2f} ms")
-    return 0
+
+    calls, small = _certify_inputs(pm)
+    timings = {"best_response_ms.fresh": _best_response_ms(pm, calls)}
+    rss = {"fresh": [_peak_rss_mb()]}
+    for config in small:
+        for mode in (pm.MODE_TRUE, pm.MODE_MODIFIED):
+            timings[f"brute_force_ms.N={config.n_prosumers} {mode}"] = (
+                _brute_force_ms(pm, config, mode))
+    timings["best_response_ms.after_brute_force"] = _best_response_ms(
+        pm, calls)
+    rss["after_brute_force"] = [_peak_rss_mb()]
+    return {"timings": timings, "peak_rss_mb": rss,
+            "best_response_calls_per_round": len(calls),
+            "numpy": np.__version__}
+
+
+def _report(result: dict) -> None:
+    for name, side in result["sides"].items():
+        print(f"{name}: " + ", ".join(
+            f"{key} {t['median']:.2f}" for key, t in side["timings"].items()))
+    for key, share in result.get("change_wins", {}).items():
+        print(f"change faster on {key} in {share:.0%} of "
+              f"{result['rounds']} rounds")
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(interleave.main(
+        sys.argv[1:], script=__file__, description=__doc__.split("\n\n")[0],
+        measure=measure, out=OUT, rounds=ROUNDS, report=_report,
+        samples_per_round=SAMPLES, seed=SEED,
+        grid_points={"best_response": BEST_RESPONSE_GRID,
+                     "brute_force": BRUTE_FORCE_GRID}))

@@ -274,13 +274,16 @@ class MarketConfig:
                 f"need at least 2 prosumers, got {self.n_prosumers}")
         _require_positive("d_min", self.d_min)
         _require_positive("s_max", self.s_max)
-        betas = tuple(float(b) for b in self.betas)
-        if len(betas) != self.n_prosumers:
+        betas = np.asarray(self.betas, dtype=float)
+        if betas.shape != (self.n_prosumers,):
             raise DomainError(
-                f"expected {self.n_prosumers} betas, got {len(betas)}")
-        for b in betas:
-            _require_positive("beta", b)
-        object.__setattr__(self, "betas", betas)
+                f"expected {self.n_prosumers} betas, got shape {betas.shape}")
+        bad = ~(np.isfinite(betas) & (betas > 0))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise DomainError(f"betas[{k}] must be positive and finite, "
+                              f"got {float(betas[k])}")
+        object.__setattr__(self, "betas", tuple(betas.tolist()))
         if self.eps_price is None:
             object.__setattr__(
                 self, "eps_price", 1e-9 * self.n_prosumers * self.d_min)

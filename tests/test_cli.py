@@ -239,7 +239,9 @@ class TestExitCodes:
         for argv in (["solve"], ["sweep", "--out", str(tmp_path / "rows.csv")]):
             code = cli_main(argv + ["--config", str(path)])
             assert code == 1
-            assert "finite" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "finite" in err
+            assert key != "betas" or "betas[1]" in err
         assert not (tmp_path / "rows.csv").exists()
 
     def test_solver_failure_exits_two(self, symmetric_config_path, monkeypatch,

@@ -259,6 +259,16 @@ class TestMarketConfig:
         with pytest.raises(DomainError):
             MarketConfig(3, 1.0, 1.0, (1.0, 2.0))
 
+    def test_bad_beta_error_names_the_first_bad_index(self):
+        with pytest.raises(DomainError, match=r"^betas\[1\] must be positive "
+                                              r"and finite, got -1\.0$"):
+            MarketConfig(4, 1.0, 1.0, (2.0, -1.0, math.nan, 0.0))
+
+    def test_betas_stay_a_tuple_of_floats(self):
+        cfg = MarketConfig(3, 1.0, 1.0, np.array([1, 2, 3]))
+        assert cfg.betas == (1.0, 2.0, 3.0)
+        assert all(type(b) is float for b in cfg.betas)
+
     @pytest.mark.parametrize("field", ["tol_root", "tol_kkt"])
     def test_rejects_tolerance_below_float_resolution(self, field):
         with pytest.raises(DomainError, match=field):

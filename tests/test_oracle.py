@@ -197,6 +197,33 @@ class TestBruteForce:
             brute_force_program(cfg, mode, grid_points=1000)
         assert any(issubclass(w.category, SaturationWarning) for w in caught)
 
+    @pytest.mark.parametrize("cfg", [
+        MarketConfig(3, 2.0, 0.6, (3.5, 4.0, 5.5)),
+        MarketConfig(2, 1.0, 0.3, (9.0, 12.0))])
+    @pytest.mark.parametrize("mode", [MODE_TRUE, MODE_MODIFIED])
+    def test_two_default_zoom_passes_agree_with_four(self, cfg, mode):
+        assert np.all(cfg.concavity_thresholds <= -cfg.s_max)
+        default = brute_force_program(cfg, mode).quantities
+        np.testing.assert_allclose(
+            default, solve_dual(cfg, mode).allocation.quantities, atol=1e-6)
+        np.testing.assert_allclose(
+            default, brute_force_program(cfg, mode, zoom_passes=4).quantities,
+            atol=1e-6)
+
+    @pytest.mark.parametrize("beta, warned", [
+        (875.0, []), (np.nextafter(875.0, np.inf), [SaturationWarning])])
+    @pytest.mark.parametrize("mode", [MODE_TRUE, MODE_MODIFIED])
+    def test_clamp_below_capacity_warns_exactly(self, beta, warned, mode):
+        # r*s_max = 175: the clamp stays off at every feasible cell. The
+        # balancing quantity reaches -4*s_max at the grid's corner, where
+        # r*4*s_max is 700 for beta = 875 and one ulp above it for the
+        # next float, so the call warns exactly when that cell engages it
+        cfg = MarketConfig(3, 1.0, 1.0, (float(beta),) * 3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            brute_force_program(cfg, mode, grid_points=1000)
+        assert [w.category for w in caught] == warned
+
 
 # The full-array scans that the blocked ones replaced, kept as references
 # the blocked scans must match bit for bit.
