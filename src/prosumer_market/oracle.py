@@ -9,7 +9,10 @@ Two routes:
   * brute_force_program certifies the welfare programs for 2- and
     3-prosumer markets by exhaustive grid search over the balanced
     capacity-bounded simplex slice, with zoom passes to sharpen the
-    returned grid point.
+    returned grid point. Its free axes share one spacing, so the balancing
+    prosumer's quantity is constant along each anti-diagonal of the grid,
+    and its curve is evaluated once per anti-diagonal, at feasible
+    quantities only.
 
 Both scan their grids in blocks of at most _BLOCK cells and keep the first
 maximum, as np.argmax over the whole grid would, so memory does not grow
@@ -72,10 +75,9 @@ class _Curves:
             self.length = float(config.stack.lengths[0, 0])
             self.antideriv_dmin = config.stack.antideriv_dmin[0]
 
-    def __call__(self, i: int, q, q_low=None):
-        """Curve i at q; q_low, when given, must equal np.min(q)."""
-        self.q_min[i] = min(self.q_min[i],
-                            np.min(q) if q_low is None else q_low)
+    def __call__(self, i: int, q):
+        """Curve i at q, recording the lowest q it reads."""
+        self.q_min[i] = min(self.q_min[i], np.min(q))
         r, offset = self.rates[i], self.offsets[i]
         if not self.shaded:
             return _utility(r, offset, q, warn=False)
@@ -238,40 +240,33 @@ def _welfare_blocks(curves: _Curves, axes, lo_full: float, hi_full: float):
     """The welfare over the grid of free coordinates, in row blocks.
 
     Yields the grid in row-major order, a block of whole rows at a time;
-    the last prosumer balances the free ones, and cells where its quantity
-    leaves [lo_full, hi_full] read -inf. The free prosumers' curves are
-    separable, so they are evaluated once per axis and broadcast.
-
-    Rounding is monotone, so over a block the balancing quantity
-    fl(-a_i - b_j) has its extremes exactly at fl(min(-a) - max(b)) and
-    fl(max(-a) - min(b)). Those bounds stand in for a min over every cell
-    in the saturation record, and a block wholly inside [lo_full, hi_full]
-    skips the feasibility mask.
+    the last prosumer balances the free ones. The free prosumers' curves are
+    separable, so they are evaluated once per axis and broadcast. The axes
+    share one spacing, so the balancing quantity of cell (i, j) depends on
+    i + j only: the last prosumer's curve is evaluated once, on the 2G-1
+    points w = linspace(-(a_0 + b_0), -(a_end + b_end), 2G-1), reads -inf
+    where w leaves [lo_full, hi_full], and reaches the cells through the
+    zero-copy Hankel view hankel[i, j] = last[i + j]. For N = 2, w = -a.
     """
-    n = len(axes) + 1
-    neg_a = -axes[0]
+    n, size = len(axes) + 1, axes[0].size
+    w = np.linspace(-sum(axis[0] for axis in axes),
+                    -sum(axis[-1] for axis in axes), (n - 1) * (size - 1) + 1)
+    feasible = (w >= lo_full) & (w <= hi_full)
+    last = np.full(w.size, -np.inf)
+    last[feasible] = curves(n - 1, w[feasible])
     head = curves(0, axes[0])
-    rows, b_low, b_high = _BLOCK, 0.0, 0.0
+    rows = _BLOCK
     if n == 3:
-        b = axes[1]
-        tail = curves(1, b)
-        rows = _BLOCK // b.size  # b.size <= 3162 under MAX_GRID_POINTS
-        b_low, b_high = np.min(b), np.max(b)
-    starts = np.arange(0, neg_a.size, rows)
-    lows = np.minimum.reduceat(neg_a, starts) - b_high
-    highs = np.maximum.reduceat(neg_a, starts) - b_low
-    for start, q_low, q_high in zip(starts, lows, highs):
+        tail = curves(1, axes[1])
+        hankel = np.lib.stride_tricks.sliding_window_view(last, size)
+        rows = _BLOCK // size  # size <= 3162 under MAX_GRID_POINTS
+    for start in range(0, size, rows):
         block = slice(start, start + rows)
         if n == 3:
-            q_last = neg_a[block, None] - b[None, :]
             vals = head[block, None] + tail[None, :]
+            vals += hankel[block]
         else:
-            q_last = neg_a[block]
-            vals = head[block]
-        vals = vals + curves(n - 1, q_last, q_low)
-        if not (q_low >= lo_full and q_high <= hi_full):
-            feasible = (q_last >= lo_full) & (q_last <= hi_full)
-            np.copyto(vals, -np.inf, where=~feasible)
+            vals = head[block] + last[block]
         yield vals
 
 
@@ -285,18 +280,23 @@ def brute_force_program(config: MarketConfig, mode: str,
     the incumbent for zoom_passes rounds so the returned grid point is
     sharp enough to certify the dual solver. The zoom assumes the incumbent
     basin contains the optimum, which holds on the concave regime this
-    oracle is specified for. Each zoom pass re-grids a window of four cells,
-    so the cell shrinks by (grid_points - 1)/4 per pass. Two passes are the
-    default: they leave a cell of 16*N*s_max/(grid_points - 1)**3, about
-    2e-9*N*s_max at grid 2001. That is already below the distance, of order
-    sqrt(eps) on the welfare's scale, over which rounding leaves the float
-    welfare flat around its maximum, so more passes do not bring the
-    returned point closer to the optimum: on the benchmark's certify
-    markets of seeds 1-40 it lies at most 6.2e-8 from solve_dual after two
-    passes and 6.8e-8 after four. The scan holds about _BLOCK cells at a
-    time and returns the first grid maximum in row-major order. Raises
-    TooLarge, before building any grid, when grid_points**(N-1) exceeds
-    MAX_GRID_POINTS (3162 points for N = 3).
+    oracle is specified for. Each zoom pass re-grids a window of four cells
+    on every free axis, shifted, not clipped, to stay inside
+    [-s_max, (N-1)*s_max], so the free axes share one spacing in every pass
+    and the cell shrinks by (grid_points - 1)/4 per pass. The balancing
+    quantity is then constant along each anti-diagonal of the grid, and
+    the optimum on the capacity line q_N = -s_max is searched along that
+    line at the grid's resolution. Two passes are the default: they leave
+    a cell of 16*N*s_max/(grid_points - 1)**3, about 2e-9*N*s_max at grid
+    2001. That is already below the distance, of order sqrt(eps) on the
+    welfare's scale, over which rounding leaves the float welfare flat
+    around its maximum, so more passes do not bring the returned point
+    closer to the optimum: on the benchmark's certify markets of seeds 1-40
+    it lies at most 7.0e-8 from solve_dual after two passes and 6.8e-8
+    after four. The scan holds about _BLOCK cells at a time and returns the
+    first grid maximum in row-major order. Raises TooLarge, before building
+    any grid, when grid_points**(N-1) exceeds MAX_GRID_POINTS (3162 points
+    for N = 3).
     """
     if mode not in MODES:
         raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
@@ -318,10 +318,14 @@ def brute_force_program(config: MarketConfig, mode: str,
         k, _ = _first_argmax(_welfare_blocks(curves, axes, lo_full, hi_full))
         k = np.unravel_index(k, (grid_points,) * (n - 1))
         best = [float(axis[j]) for axis, j in zip(axes, k)]
-        for j, (a, b) in enumerate(zip(lo, hi)):
-            cell = (b - a) / (grid_points - 1)
-            lo[j] = max(best[j] - 2 * cell, lo_full)
-            hi[j] = min(best[j] + 2 * cell, hi_full)
+        # every axis re-grids a window of four cells, shifted inside the box
+        half = 2 * (hi[0] - lo[0]) / (grid_points - 1)
+        for j, q in enumerate(best):
+            lo[j], hi[j] = q - half, q + half
+            if lo[j] < lo_full:
+                lo[j], hi[j] = lo_full, lo_full + 2 * half
+            elif hi[j] > hi_full:
+                lo[j], hi[j] = hi_full - 2 * half, hi_full
     q_last = -best[0] - best[1] if n == 3 else -best[0]
     curves.warn()
     return _certify(config, mode, np.array(best + [q_last]))

@@ -382,6 +382,12 @@ class _Batch(NamedTuple):
     passes: int
 
 
+def _restack(st: MarketStack, kept) -> MarketStack:
+    """The rows kept of every field of st, gathered by one index array."""
+    rows = np.array(kept, dtype=np.intp)
+    return MarketStack(*(field.take(rows, axis=0) for field in st))
+
+
 def _solve_stack(st: MarketStack, mode: str) -> _Batch:
     """Safeguarded Newton searches in x = ln(eta), one per market, in lockstep.
 
@@ -428,7 +434,7 @@ def _solve_stack(st: MarketStack, mode: str) -> _Batch:
     prices, totals = [math.nan] * m, [math.nan] * m
     active = [k for k in range(m) if errors[k] is None]
     if len(active) < m:
-        st = MarketStack(*(field[active] for field in st))
+        st = _restack(st, active)
     passes = 0
     while active and passes < _MAX_STEPS:
         passes += 1
@@ -491,7 +497,7 @@ def _solve_stack(st: MarketStack, mode: str) -> _Batch:
             kept = sorted(set(range(len(active))) - set(settled))
             active = [active[j] for j in kept]
             if active:
-                st = MarketStack(*(field[kept] for field in st))
+                st = _restack(st, kept)
     return _Batch(quantities, flags, prices, totals, iterations, errors,
                   passes)
 

@@ -211,22 +211,87 @@ class TestBruteForce:
             atol=1e-6)
 
     @pytest.mark.parametrize("beta, warned", [
-        (875.0, []), (np.nextafter(875.0, np.inf), [SaturationWarning])])
+        (3500.0, []), (np.nextafter(3500.0, np.inf), [SaturationWarning]),
+        (1500.0, [])])
     @pytest.mark.parametrize("mode", [MODE_TRUE, MODE_MODIFIED])
     def test_clamp_below_capacity_warns_exactly(self, beta, warned, mode):
-        # r*s_max = 175: the clamp stays off at every feasible cell. The
-        # balancing quantity reaches -4*s_max at the grid's corner, where
-        # r*4*s_max is 700 for beta = 875 and one ulp above it for the
-        # next float, so the call warns exactly when that cell engages it
+        # the balancing prosumer is read only at feasible quantities, so the
+        # lowest q of the scan is -s_max, the free axes' first point. There
+        # r*s_max is 700 for beta = 3500 and one ulp above it for the next
+        # float, so the call warns exactly when the clamp engages at -s_max.
+        # Infeasible balancing quantities reach -4*s_max, where beta = 1500
+        # would engage it
         cfg = MarketConfig(3, 1.0, 1.0, (float(beta),) * 3)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             brute_force_program(cfg, mode, grid_points=1000)
         assert [w.category for w in caught] == warned
 
+    @pytest.mark.parametrize("grid_points", [1001, 2001, 3162])
+    def test_optimum_on_capacity_line(self, grid_points):
+        # the balancing prosumer sits at -s_max. The balancing quantity is
+        # constant along each anti-diagonal of the grid, so the scan
+        # searches along the capacity line instead of landing on the
+        # feasible cell nearest it
+        cfg = MarketConfig(3, 1.8103301680943928, 0.7175226127425814,
+                           (5.553071045956916, 5.492673571880116,
+                            3.5131632614139368))
+        dual = solve_dual(cfg, MODE_MODIFIED).allocation
+        assert dual.at_capacity.tolist() == [False, False, True]
+        np.testing.assert_allclose(
+            brute_force_program(cfg, MODE_MODIFIED, grid_points).quantities,
+            dual.quantities, atol=1e-6)
 
-# The full-array scans that the blocked ones replaced, kept as references
-# the blocked scans must match bit for bit.
+    @pytest.mark.parametrize("mode", [MODE_TRUE, MODE_MODIFIED])
+    def test_seeded_capacity_line_markets(self, mode):
+        for cfg in _capacity_line_markets(25, seed=2026):
+            np.testing.assert_allclose(
+                brute_force_program(cfg, mode).quantities,
+                solve_dual(cfg, mode).allocation.quantities, atol=1e-6)
+
+    def test_anti_diagonal_matches_cell_sums(self):
+        # w[i + j] is the balancing quantity of cell (i, j): within a few
+        # ulps of -(a_i + b_j) on the first pass and on zoom windows, one
+        # shifted against the box's upper end
+        class Recorder:
+            def __call__(self, i, q):
+                if i == 2:
+                    self.last = q
+                return np.zeros_like(q)
+
+        s, g = 0.7175226127425814, 1000
+        zoom = 4 * 3 * s / (g - 1)
+        i = np.add.outer(np.arange(g), np.arange(g))
+        for lo, width in [((-s, -s), 3 * s), ((-s, 0.3), zoom),
+                          ((0.123, 0.777), zoom), ((-s, 2 * s - zoom), zoom)]:
+            a, b = (np.linspace(x, x + width, g) for x in lo)
+            curves = Recorder()
+            for _ in oracle._welfare_blocks(curves, [a, b], -np.inf, np.inf):
+                pass
+            assert curves.last.size == 2 * g - 1
+            err = np.abs(curves.last[i] + np.add.outer(a, b))
+            ulp = np.spacing(np.max(np.abs(a)) + np.max(np.abs(b)))
+            assert np.max(err) <= 4 * ulp
+
+
+def _capacity_line_markets(count, seed):
+    """Seeded concave N=3 markets whose last prosumer's Nash q is -s_max."""
+    rng = np.random.default_rng(seed)
+    markets = []
+    while len(markets) < count:
+        d_min = float(rng.uniform(0.5, 2.0))
+        betas = tuple(float(b) for b in rng.uniform(3.0, 6.0, 3))
+        room = 2 * d_min - 5 * d_min / min(betas)
+        cfg = MarketConfig(3, d_min, room * float(rng.uniform(0.3, 0.95)),
+                           betas)
+        assert np.all(cfg.concavity_thresholds <= -cfg.s_max)
+        if solve_dual(cfg, MODE_MODIFIED).allocation.at_capacity[-1]:
+            markets.append(cfg)
+    return markets
+
+
+# Full-array scans, kept as references the blocked scans must match bit for
+# bit.
 
 def _meshgrid_brute_force(config, mode, grid_points, zoom_passes=4):
     """brute_force_program with every cell of a pass in one meshgrid."""
@@ -245,21 +310,28 @@ def _meshgrid_brute_force(config, mode, grid_points, zoom_passes=4):
     for _ in range(zoom_passes + 1):
         axes = [np.linspace(a, b, grid_points) for a, b in zip(lo, hi)]
         free = np.meshgrid(*axes, indexing="ij")
-        q_last = -free[0]
+        # the axes share one spacing, so the balancing quantity of a cell
+        # is read from the grid of its anti-diagonal
+        w = np.linspace(-sum(lo), -sum(hi), (n - 1) * (grid_points - 1) + 1)
+        q_last = w[sum(np.indices(free[0].shape))]
         vals = f(0, free[0])
         for i, q in enumerate(free[1:], start=1):
-            q_last = q_last - q
             vals = vals + f(i, q)
         vals = vals + f(n - 1, q_last)
         feasible = (q_last >= lo_full) & (q_last <= hi_full)
         vals = np.where(feasible, vals, -np.inf)
         k = np.unravel_index(int(np.argmax(vals)), vals.shape)
         best = [float(axis[j]) for axis, j in zip(axes, k)]
-        for j, (a, b) in enumerate(zip(lo, hi)):
-            cell = (b - a) / (grid_points - 1)
-            lo[j] = max(best[j] - 2 * cell, lo_full)
-            hi[j] = min(best[j] + 2 * cell, hi_full)
-    return oracle._certify(config, mode, np.array(best + [float(q_last[k])]))
+        # a window of four cells around the incumbent, shifted inside
+        half = 2 * (hi[0] - lo[0]) / (grid_points - 1)
+        for j, q in enumerate(best):
+            lo[j], hi[j] = q - half, q + half
+            if lo[j] < lo_full:
+                lo[j], hi[j] = lo_full, lo_full + 2 * half
+            elif hi[j] > hi_full:
+                lo[j], hi[j] = hi_full - 2 * half, hi_full
+    q_last = -best[0] - sum(best[1:])
+    return oracle._certify(config, mode, np.array(best + [q_last]))
 
 
 def _full_best_response(i, thetas, config, grid_points):
