@@ -2,10 +2,10 @@
 
 Two routes:
 
-  * best_response certifies candidate strategic equilibria directly from
-    the payoff definition pi_i = S_i(q_i) - p*q_i, by globally searching
-    one prosumer's bid interval with a dense grid refined by golden
-    section. No derivatives, no concavity assumptions.
+  * best_response certifies candidate strategic equilibria from the payoff
+    definition pi_i = S_i(q_i) - p*q_i, in closed form in the own bid, by
+    globally searching one prosumer's bid interval with a dense grid
+    refined by golden section. No derivatives, no concavity assumptions.
   * brute_force_program certifies the welfare programs for 2- and
     3-prosumer markets by exhaustive grid search over the balanced
     capacity-bounded simplex slice, with zoom passes to sharpen the
@@ -14,11 +14,10 @@ Two routes:
     and its curve is evaluated once per anti-diagonal, at feasible
     quantities only.
 
-Both scan their grids in blocks of at most _BLOCK cells and keep the first
-maximum, as np.argmax over the whole grid would, so memory does not grow
-with the grid. Each call issues at most one SaturationWarning. Both are
-deliberately independent of the marginal-inversion machinery in the solver
-module.
+Both build and scan their grids in blocks of at most _BLOCK cells and keep
+the first maximum, as np.argmax over the whole grid would, so memory does
+not grow with the grid. Each call issues at most one SaturationWarning.
+Both deliberately avoid the solver module's marginal-inversion machinery.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ class BestResponseResult:
 
 
 class _Curves:
-    """The prosumers' curves for one verifier call, evaluated without warnings.
+    """The curves of one brute_force_program call, evaluated without warnings.
 
     S_i in the true mode, else S_mod,i. Each evaluation records the lowest q
     prosumer i was evaluated at, where its exponent -r*q peaks, so warn()
@@ -108,39 +107,62 @@ def _first_argmax(blocks) -> tuple[int, float]:
     return best_k, best
 
 
+class _Payoff:
+    """Prosumer i's payoff S_i(q) - p*q over its own bid theta, rivals' R.
+
+    With p = -(theta + R)/(N*d_min) and q = d_min + theta/p it is
+    e^(-beta_i/5) + R/N - theta*(N-1)/N - exp(min(x, 700)), where x = -r_i*q
+    = r_i*d_min*(N-1) - r_i*N*d_min*R/(theta + R). theta enters x once, and
+    rounding is monotone, so for R < 0 the computed x falls with theta.
+    """
+
+    def __init__(self, i: int, thetas, config: MarketConfig):
+        t = np.asarray(thetas, dtype=float)
+        if t.shape != (config.n_prosumers,):
+            raise DomainError(
+                f"expected {config.n_prosumers} bids, got shape {t.shape}")
+        self.total, self.candidate = float(t.sum()), float(t[i])
+        self.rival_sum = rival_sum = self.total - self.candidate
+        n, d, r = config.n_prosumers, config.d_min, float(config.rates[i])
+        self.head = float(config.offsets[i]) + rival_sum / n
+        self.slope = (n - 1) / n
+        self.x_top, self.x_pole = r * d * (n - 1), r * n * d * rival_sum
+
+    def exponent(self, theta: float) -> float:
+        return self.x_top - self.x_pole / (theta + self.rival_sum)
+
+    def __call__(self, theta: float) -> float:
+        """The payoff at one bid, in Python floats."""
+        x = min(self.exponent(theta), _EXP_CLAMP)
+        return self.head - theta * self.slope - math.exp(x)
+
+    def at_candidate(self, x_lb: float = -math.inf) -> float:
+        """The payoff at the candidate bid; warns if it or x_lb passes 700."""
+        if self.total >= 0:
+            raise DomainError("payoff needs a positive price, so bid sum < 0;"
+                              f" got {self.total}")
+        if max(x_lb, self.exponent(self.candidate)) > _EXP_CLAMP:
+            _warn_saturated(stacklevel=3)
+        return self(self.candidate)
+
+    def overwrite(self, theta: np.ndarray, clamp: bool) -> np.ndarray:
+        """The payoffs at an array of bids, written over the bids."""
+        x = theta + self.rival_sum
+        np.subtract(self.x_top, np.divide(self.x_pole, x, out=x), out=x)
+        if clamp:
+            np.minimum(x, _EXP_CLAMP, out=x)
+        np.exp(x, out=x)
+        theta *= self.slope
+        np.subtract(self.head, theta, out=theta)
+        return np.subtract(theta, x, out=theta)
+
+
 def strategic_payoff(i: int, thetas, config: MarketConfig) -> float:
     """Payoff of prosumer i under the full bid profile: S_i(q_i) - p*q_i.
 
-    Defined only for profiles with a strictly positive clearing price
-    (sum of bids < 0); at zero price the payoff is undefined.
+    Defined only for a strictly positive clearing price (bid sum < 0).
     """
-    curves = _Curves(config, MODE_TRUE)
-    payoff = _profile_payoff(curves, i, thetas, config)
-    curves.warn()
-    return payoff
-
-
-def _profile_payoff(curves: _Curves, i: int, thetas,
-                    config: MarketConfig) -> float:
-    """strategic_payoff, evaluated through the caller's curves."""
-    t = np.asarray(thetas, dtype=float)
-    if t.shape != (config.n_prosumers,):
-        raise DomainError(
-            f"expected {config.n_prosumers} bids, got shape {t.shape}")
-    total = float(t.sum())
-    if total >= 0:
-        raise DomainError(
-            f"payoff needs a positive price, so bid sum < 0; got {total}")
-    rival_sum = total - float(t[i])
-    return float(_payoff_curve(curves, i, np.array([t[i]]), rival_sum,
-                               config)[0])
-
-
-def _payoff_curve(curves: _Curves, i, theta_i, rival_sum, config):
-    """Vectorized payoff of prosumer i over an array of own bids."""
-    price = -(theta_i + rival_sum) / (config.n_prosumers * config.d_min)
-    q = config.d_min + theta_i / price
-    return curves(i, q) - price * q
+    return _Payoff(i, thetas, config).at_candidate()
 
 
 def _capacity_lower_bound(rival_sum: float, config: MarketConfig) -> float:
@@ -160,11 +182,9 @@ def _capacity_lower_bound(rival_sum: float, config: MarketConfig) -> float:
     return (s + d) * rival_sum / room
 
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Maximize a scalar function on [lo, hi] by golden-section search."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
+def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
+    """Maximize a scalar function on [a, b] by golden-section search."""
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
     while b - a > tol:
         if fc > fd:
@@ -186,54 +206,49 @@ def best_response(i: int, thetas, config: MarketConfig,
     thetas is the full candidate profile; entry i is the candidate bid the
     result's gap is measured against. The search interval is
     [theta_lb, -(sum of rival bids) - eps_price], with theta_lb the
-    capacity bound at the interval's own price fixed point. A dense grid,
-    scanned in blocks, locates the global basin; golden section sharpens
-    it. Raises TooLarge for more than MAX_GRID_POINTS grid points.
+    capacity bound at the interval's own price fixed point. The grid
+    np.linspace(theta_lb, theta_hi, grid_points), built as linspace builds
+    it but _BLOCK bids at a time, locates the global basin; golden section
+    sharpens it. The exponent falls with the bid, so the call warns exactly
+    when the one at theta_lb or at the candidate exceeds 700. Raises
+    TooLarge for more than MAX_GRID_POINTS grid points.
     """
     if grid_points > MAX_GRID_POINTS:
         raise TooLarge(f"best response supports at most {MAX_GRID_POINTS} "
                        f"grid points, got {grid_points}")
-    t = np.asarray(thetas, dtype=float)
-    if t.shape != (config.n_prosumers,):
-        raise DomainError(
-            f"expected {config.n_prosumers} bids, got shape {t.shape}")
-    rival_sum = float(t.sum() - t[i])
-    if rival_sum >= 0:
-        raise UnboundedPayoff(
-            f"rival bids sum to {rival_sum} >= 0; the payoff has no maximum")
-    theta_hi = -rival_sum - config.eps_price
-    theta_lb = _capacity_lower_bound(rival_sum, config)
+    payoff = _Payoff(i, thetas, config)
+    if payoff.rival_sum >= 0:
+        raise UnboundedPayoff(f"rival bids sum to {payoff.rival_sum} >= 0; "
+                              "the payoff has no maximum")
+    theta_hi = -payoff.rival_sum - config.eps_price
+    theta_lb = _capacity_lower_bound(payoff.rival_sum, config)
     if theta_lb >= theta_hi:
         raise DomainError("empty bid interval; eps_price too large")
+    x_lb = payoff.exponent(theta_lb)
+    payoff_at_candidate = payoff.at_candidate(x_lb)
+    last = max(int(grid_points), 3) - 1
+    step = (theta_hi - theta_lb) / last
 
-    curves = _Curves(config, MODE_TRUE)
-    grid_points = max(int(grid_points), 3)
-    grid = np.linspace(theta_lb, theta_hi, grid_points)
-    k, payoff_k = _first_argmax(
-        _payoff_curve(curves, i, grid[start:start + _BLOCK], rival_sum, config)
-        for start in range(0, grid_points, _BLOCK))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, grid_points - 1)]
+    def blocks():
+        counts = np.arange(min(_BLOCK, last + 1), dtype=float)
+        for start in range(0, last + 1, _BLOCK):
+            block = counts[:last + 1 - start] + start
+            block *= step
+            block += theta_lb
+            if start + _BLOCK > last:
+                block[-1] = theta_hi
+            yield payoff.overwrite(block, clamp=x_lb > _EXP_CLAMP)
 
-    def f(x):
-        return float(_payoff_curve(curves, i, np.array([x]), rival_sum,
-                                   config)[0])
-
-    span = theta_hi - theta_lb
-    theta_star, payoff_star = _golden_max(f, lo, hi, tol=1e-12 * max(1.0, span))
+    k, payoff_k = _first_argmax(blocks())
+    lo, at_k, hi = (theta_hi if j == last else j * step + theta_lb
+                    for j in (max(k - 1, 0), k, min(k + 1, last)))
+    theta_star, payoff_star = _golden_max(
+        payoff, lo, hi, tol=1e-12 * max(1.0, theta_hi - theta_lb))
     # the grid point the refined bracket came from can beat its midpoint
     if payoff_k > payoff_star:
-        theta_star, payoff_star = grid[k], float(payoff_k)
-
-    payoff_at_candidate = _profile_payoff(curves, i, t, config)
-    curves.warn()
-    return BestResponseResult(
-        prosumer_index=i,
-        theta_star=float(theta_star),
-        payoff_star=float(payoff_star),
-        payoff_at_candidate=payoff_at_candidate,
-        gap=float(payoff_star - payoff_at_candidate),
-    )
+        theta_star, payoff_star = at_k, float(payoff_k)
+    return BestResponseResult(i, theta_star, payoff_star, payoff_at_candidate,
+                              payoff_star - payoff_at_candidate)
 
 
 def _welfare_blocks(curves: _Curves, axes, lo_full: float, hi_full: float):
@@ -286,14 +301,9 @@ def brute_force_program(config: MarketConfig, mode: str,
     and the cell shrinks by (grid_points - 1)/4 per pass. The balancing
     quantity is then constant along each anti-diagonal of the grid, and
     the optimum on the capacity line q_N = -s_max is searched along that
-    line at the grid's resolution. Two passes are the default: they leave
-    a cell of 16*N*s_max/(grid_points - 1)**3, about 2e-9*N*s_max at grid
-    2001. That is already below the distance, of order sqrt(eps) on the
-    welfare's scale, over which rounding leaves the float welfare flat
-    around its maximum, so more passes do not bring the returned point
-    closer to the optimum: on the benchmark's certify markets of seeds 1-40
-    it lies at most 7.0e-8 from solve_dual after two passes and 6.8e-8
-    after four. The scan holds about _BLOCK cells at a time and returns the
+    line at the grid's resolution. Two passes are the default; README's
+    numerical notes say why more do not bring the returned point closer to
+    the optimum. The scan holds about _BLOCK cells at a time and returns the
     first grid maximum in row-major order. Raises TooLarge, before building
     any grid, when grid_points**(N-1) exceeds MAX_GRID_POINTS (3162 points
     for N = 3).

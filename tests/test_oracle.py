@@ -62,6 +62,73 @@ class TestPayoffUnboundedness:
         assert all(b > a for a, b in zip(payoffs, payoffs[1:]))
         assert payoffs[-1] - payoffs[0] >= 1e3
 
+    @pytest.mark.parametrize("i", [0, 1])
+    @pytest.mark.parametrize("rival_sum", [-0.1, -1.0, -30.0])
+    def test_no_equilibrium_when_capacity_reaches_the_shading_length(
+            self, i, rival_sum):
+        # s_max >= (N-1)*d_min = L: a prosumer whose rivals bid a negative
+        # sum gains without bound as its bid falls, because its quantity
+        # tends to -L from above, which the capacity bound allows, and the
+        # price it is paid grows without bound. Every positive-price
+        # profile has such a prosumer, so none is an equilibrium
+        cfg = MarketConfig(2, 1.0, 4.0, (2.0, 3.0))
+        length = cfg.d_min * (cfg.n_prosumers - 1)
+        assert cfg.s_max >= length
+        own = -np.logspace(1, 8, 8)
+        thetas = np.full(2, rival_sum)
+        payoffs, quantities = [], []
+        for t in own:
+            thetas[i] = t
+            payoffs.append(strategic_payoff(i, thetas, cfg))
+            quantities.append(quantity_from_bid(
+                t, clearing_price(thetas, cfg.d_min), cfg.d_min))
+        assert all(b > a for a, b in zip(payoffs, payoffs[1:]))
+        # about -theta*(N-1)/N: linear in the bid
+        assert payoffs[-1] > 0.4 * abs(own[-1])
+        assert all(-length < q for q in quantities)
+        assert all(b < a for a, b in zip(quantities, quantities[1:]))
+        assert quantities[-1] == pytest.approx(-length, abs=1e-6)
+
+
+class TestClosedFormPayoff:
+    # The closed form and the definition S_i(q) - p*q round differently;
+    # each is within a few ulps of the larger of S_i(q) and p*q, times
+    # r*d_min*(N-1) for the exponent's cancellation, so the comparison is
+    # relative to that term. Betas up to 60 keep r*d_min*(N-1) at most 120
+    @staticmethod
+    def _assert_agrees_with_definition(cfg, rival_sum):
+        n, d = cfg.n_prosumers, cfg.d_min
+        theta_lb = oracle._capacity_lower_bound(rival_sum, cfg)
+        bids = np.linspace(theta_lb, -rival_sum - cfg.eps_price, 501)
+        price = -(bids + rival_sum) / (n * d)
+        q = d + bids / price
+        for i in range(n):
+            utility = _utility(cfg.rates[i], cfg.offsets[i], q, warn=False)
+            definition = utility - price * q
+            scale = 1e-13 * np.maximum(np.abs(utility), np.abs(price * q))
+            thetas = np.zeros(n)
+            thetas[i - 1] = rival_sum
+            payoff = oracle._Payoff(i, thetas, cfg)
+            scalar = np.array([payoff(float(b)) for b in bids])
+            array = payoff.overwrite(bids.copy(), clamp=False)
+            assert np.all(np.abs(scalar - definition) <= scale)
+            assert np.all(np.abs(array - definition) <= scale)
+
+    @pytest.mark.parametrize("betas, s_factor", [
+        ((0.5, 12.0), (0.1, 0.95)), ((20.0, 60.0), (0.1, 0.95)),
+        ((0.5, 12.0), (1.0, 3.0))], ids=["seeded", "steep", "fallback"])
+    def test_agrees_with_definition(self, betas, s_factor):
+        # s_factor scales s_max by (N-1)*d_min; from 1 up the capacity
+        # bound has no fixed point and the search uses the -1e6 fallback
+        rng = np.random.default_rng(19)
+        for n in range(2, 12):
+            d_min = float(rng.uniform(0.3, 4.0))
+            s_max = float(rng.uniform(*s_factor)) * (n - 1) * d_min
+            cfg = MarketConfig(n, d_min, s_max,
+                               tuple(rng.uniform(*betas, n)))
+            for rival_sum in -rng.uniform(0.05, 3.0, 3) * n:
+                self._assert_agrees_with_definition(cfg, float(rival_sum))
+
 
 class TestBestResponse:
     def test_symmetric_fixed_point_n2(self):
@@ -119,6 +186,15 @@ class TestBestResponse:
         cfg = MarketConfig(2, 1.0, 3.0, (2.0, 2.0))
         with pytest.raises(UnboundedPayoff):
             best_response(0, np.array([-1.0, 0.0]), cfg)
+
+    @pytest.mark.parametrize("candidate", [1.0, 3.0])
+    def test_rejects_candidate_without_a_price(self, candidate):
+        # the rivals' sum -1 is negative, so a best response exists, but the
+        # candidate's bid sum is >= 0 and its payoff is undefined
+        cfg = MarketConfig(2, 1.0, 3.0, (2.0, 2.0))
+        with pytest.raises(DomainError, match="positive price"):
+            best_response(0, np.array([candidate, -1.0]), cfg,
+                          grid_points=1000)
 
     def test_best_response_grid_cap(self):
         cfg = MarketConfig(2, 1.0, 0.3, (12.0, 12.0))
@@ -335,30 +411,30 @@ def _meshgrid_brute_force(config, mode, grid_points, zoom_passes=4):
 
 
 def _full_best_response(i, thetas, config, grid_points):
-    """best_response with the whole grid's payoffs in one array."""
-    t = np.asarray(thetas, dtype=float)
-    rival_sum = float(t.sum() - t[i])
+    """best_response with the whole grid's payoffs in one array.
+
+    The grid is np.linspace itself, and its payoffs are the closed form in
+    _Payoff's order of operations; golden section and the candidate's
+    payoff run on _Payoff's scalar form, as in best_response.
+    """
+    payoff = oracle._Payoff(i, thetas, config)
+    rival_sum = payoff.rival_sum
     theta_hi = -rival_sum - config.eps_price
     theta_lb = oracle._capacity_lower_bound(rival_sum, config)
-
-    def payoff(theta):
-        price = -(theta + rival_sum) / (config.n_prosumers * config.d_min)
-        q = config.d_min + theta / price
-        return (_utility(config.rates[i], config.offsets[i], q, warn=False)
-                - price * q)
-
     grid = np.linspace(theta_lb, theta_hi, grid_points)
-    payoffs = payoff(grid)
+    n, d, r = config.n_prosumers, config.d_min, config.rates[i]
+    x = r * d * (n - 1) - r * n * d * rival_sum / (grid + rival_sum)
+    payoffs = ((config.offsets[i] + rival_sum / n) - grid * ((n - 1) / n)
+               - np.exp(np.minimum(x, 700.0)))
     k = int(np.argmax(payoffs))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, grid_points - 1)]
+    lo = float(grid[max(k - 1, 0)])
+    hi = float(grid[min(k + 1, grid_points - 1)])
     span = theta_hi - theta_lb
     theta_star, payoff_star = oracle._golden_max(
-        lambda x: float(payoff(np.array([x]))[0]), lo, hi,
-        tol=1e-12 * max(1.0, span))
+        payoff, lo, hi, tol=1e-12 * max(1.0, span))
     if payoffs[k] > payoff_star:
         theta_star, payoff_star = grid[k], float(payoffs[k])
-    payoff_at_candidate = strategic_payoff(i, t, config)
+    payoff_at_candidate = strategic_payoff(i, thetas, config)
     return BestResponseResult(i, float(theta_star), float(payoff_star),
                               payoff_at_candidate,
                               float(payoff_star - payoff_at_candidate))
@@ -416,6 +492,29 @@ class TestBlockedScans:
                 assert (best_response(i, thetas, config, grid_points)
                         == _full_best_response(i, thetas, config, grid_points))
 
+    @pytest.mark.parametrize("grid_points", [3, 8191, 8192, 8193, 20_000])
+    @pytest.mark.parametrize("s_max", [3.0, 40.0], ids=["bound", "fallback"])
+    def test_best_response_grid_is_linspace(self, grid_points, s_max,
+                                            monkeypatch):
+        # the blocks, taken in order, are np.linspace's grid bit for bit
+        seen = []
+        overwrite = oracle._Payoff.overwrite
+
+        def record(self, theta, clamp):
+            seen.append(theta.copy())
+            return overwrite(self, theta, clamp)
+
+        monkeypatch.setattr(oracle._Payoff, "overwrite", record)
+        cfg = MarketConfig(11, 4.0, s_max,
+                           tuple(2.0 + 0.1 * i for i in range(11)))
+        thetas = -np.linspace(1.0, 3.0, 11)
+        best_response(3, thetas, cfg, grid_points)
+        rival_sum = float(thetas.sum()) - float(thetas[3])
+        grid = np.linspace(oracle._capacity_lower_bound(rival_sum, cfg),
+                           -rival_sum - cfg.eps_price, grid_points)
+        assert max(block.size for block in seen) <= oracle._BLOCK
+        assert np.concatenate(seen).tobytes() == grid.tobytes()
+
     def test_first_argmax_keeps_first_tie_across_blocks(self):
         blocks = [np.array([1.0, 3.0]), np.array([[3.0, 2.0], [3.0, 0.0]])]
         assert oracle._first_argmax(blocks) == (1, 3.0)
@@ -453,6 +552,62 @@ class TestSaturationWarnings:
             best_response(0, np.full(3, -1.0), cfg, grid_points=20_000)
         assert [w.category for w in caught] == [SaturationWarning]
         assert caught[0].filename == __file__
+
+    @staticmethod
+    def _across_the_clamp(exponent, start, toward):
+        """Adjacent floats from start toward `toward` on which exponent
+        goes from at most 700 to above it."""
+        below = start
+        assert exponent(below) <= 700
+        while exponent(np.nextafter(below, toward)) <= 700:
+            below = np.nextafter(below, toward)
+        return float(below), float(np.nextafter(below, toward))
+
+    @staticmethod
+    def _caught(call):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        return [w.category for w in caught]
+
+    def test_best_response_warns_exactly_above_700_at_the_lowest_bid(self):
+        # the largest exponent is the one at theta_lb, where q = -s_max and
+        # x is about r*s_max = beta/5: step beta by ulps across x = 700.
+        # The candidate bid sits at q = 0, exponent 0
+        thetas = np.full(3, -1.0)
+
+        def exponent(beta):
+            cfg = MarketConfig(3, 1.0, 1.0, (beta,) * 3)
+            return oracle._Payoff(0, thetas, cfg).exponent(
+                oracle._capacity_lower_bound(-2.0, cfg))
+
+        start = 3500.0 * (1 - 1e-13)
+        for beta, warned in zip(
+                self._across_the_clamp(exponent, start, np.inf),
+                ([], [SaturationWarning])):
+            cfg = MarketConfig(3, 1.0, 1.0, (beta,) * 3)
+            assert self._caught(
+                lambda: best_response(0, thetas, cfg, 1000)) == warned
+            assert self._caught(
+                lambda: strategic_payoff(0, thetas, cfg)) == []
+
+    def test_warns_exactly_above_700_at_the_candidate(self):
+        # r = 360 and L = 2: the lowest bid's exponent is about
+        # r*s_max = 360, and a candidate far below it reaches 700 at about
+        # theta = -106, where q is about -1.94
+        cfg = MarketConfig(3, 1.0, 1.0, (1800.0,) * 3)
+        thetas = np.full(3, -1.0)
+        payoff = oracle._Payoff(0, thetas, cfg)
+        assert payoff.exponent(oracle._capacity_lower_bound(-2.0, cfg)) < 400
+        start = float(np.nextafter(-106.0, np.inf)) * (1 - 1e-13)
+        for theta, warned in zip(
+                self._across_the_clamp(payoff.exponent, start, -np.inf),
+                ([], [SaturationWarning])):
+            thetas[0] = theta
+            assert self._caught(
+                lambda: best_response(0, thetas, cfg, 1000)) == warned
+            assert self._caught(
+                lambda: strategic_payoff(0, thetas, cfg)) == warned
 
     def test_no_warning_below_the_clamp(self):
         cfg = MarketConfig(3, 2.0, 0.6, (3.5, 4.0, 5.5))
