@@ -5,7 +5,8 @@ Two routes:
   * best_response certifies candidate strategic equilibria from the payoff
     definition pi_i = S_i(q_i) - p*q_i, in closed form in the own bid, by
     globally searching one prosumer's bid interval with a dense grid
-    refined by golden section. No derivatives, no concavity assumptions.
+    refined by golden section. No derivatives, no concavity assumptions;
+    a monotone bound lets the scan skip runs of bids that cannot win.
   * brute_force_program certifies the welfare programs for 2- and
     3-prosumer markets by exhaustive grid search over the balanced
     capacity-bounded simplex slice, with zoom passes to sharpen the
@@ -15,9 +16,10 @@ Two routes:
     quantities only.
 
 Both build and scan their grids in blocks of at most _BLOCK cells and keep
-the first maximum, as np.argmax over the whole grid would, so memory does
-not grow with the grid. Each call issues at most one SaturationWarning.
-Both deliberately avoid the solver module's marginal-inversion machinery.
+the first maximum, as np.argmax over the whole grid would; memory grows
+with the grid only by best_response's one bound per _CELL bids. Each call
+issues at most one SaturationWarning. Both deliberately avoid the solver
+module's marginal-inversion machinery.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ MAX_GRID_POINTS = 10_000_000
 # grid cells a scan evaluates at once: 64 KB per float64 temporary, which
 # stays in cache and below glibc's mmap threshold
 _BLOCK = 8192
+_CELL = 256  # bids one best-response payoff bound covers; divides _BLOCK
 
 
 @dataclass(frozen=True)
@@ -90,15 +93,17 @@ class _Curves:
             _warn_saturated(stacklevel=3)
 
 
-def _first_argmax(blocks) -> tuple[int, float]:
+def _first_argmax(blocks, starts=None) -> tuple[int, float]:
     """Flat index and value of the first maximum over blocks taken in order.
 
     Equals np.argmax over the blocks' concatenation: a later block replaces
     the incumbent only with a strictly greater value, or with a NaN, which
-    np.argmax returns before any number.
+    np.argmax returns before any number. starts, if given, holds each
+    block's flat index, for blocks that skip cells between them.
     """
     best_k, best, offset = 0, None, 0
-    for vals in blocks:
+    for n, vals in enumerate(blocks):
+        offset = offset if starts is None else starts[n]
         j = int(np.argmax(vals))
         v = vals.flat[j]
         if best is None or v > best or (np.isnan(v) and not np.isnan(best)):
@@ -117,6 +122,10 @@ class _Payoff:
     """
 
     def __init__(self, i: int, thetas, config: MarketConfig):
+        if (isinstance(i, bool) or not isinstance(i, (int, np.integer))
+                or not 0 <= i < config.n_prosumers):
+            raise DomainError("prosumer index must be an integer in "
+                              f"[0, {config.n_prosumers}), got {i!r}")
         t = np.asarray(thetas, dtype=float)
         if t.shape != (config.n_prosumers,):
             raise DomainError(
@@ -155,6 +164,19 @@ class _Payoff:
         theta *= self.slope
         np.subtract(self.head, theta, out=theta)
         return np.subtract(theta, x, out=theta)
+
+    def bound(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Upper bounds on overwrite's payoffs at any bids in [lo, hi].
+
+        overwrite computes lin - e, lin = head - theta*slope, e = exp(x);
+        lin and x fall with the bid, exactly so, as + - * / round
+        monotonically. exp need not be monotone: the slack 64*eps*(|lin| +
+        e) covers its errors up to 30 ulp and the rounding of the bound.
+        """
+        lin = self.head - lo * self.slope
+        x = self.x_top - self.x_pole / (hi + self.rival_sum)
+        e = np.exp(np.minimum(x, _EXP_CLAMP))
+        return lin - e + (np.abs(lin) + e) * (64 * np.finfo(float).eps)
 
 
 def strategic_payoff(i: int, thetas, config: MarketConfig) -> float:
@@ -208,11 +230,17 @@ def best_response(i: int, thetas, config: MarketConfig,
     [theta_lb, -(sum of rival bids) - eps_price], with theta_lb the
     capacity bound at the interval's own price fixed point. The grid
     np.linspace(theta_lb, theta_hi, grid_points), built as linspace builds
-    it but _BLOCK bids at a time, locates the global basin; golden section
-    sharpens it. The exponent falls with the bid, so the call warns exactly
-    when the one at theta_lb or at the candidate exceeds 700. Raises
-    TooLarge for more than MAX_GRID_POINTS grid points.
+    it, locates the global basin; golden section sharpens it. The scan
+    evaluates, at most _BLOCK bids at a time, only the _CELL-bid cells
+    whose _Payoff.bound reaches the maximum on the cell of largest bound,
+    and the cell holding theta_hi, which rounding may put out of order; so
+    it returns the full scan's result bit for bit. The exponent falls with
+    the bid, so the call warns exactly when the one at theta_lb or at the
+    candidate exceeds 700. Raises DomainError below 3 and TooLarge above
+    MAX_GRID_POINTS grid points.
     """
+    if grid_points < 3:
+        raise DomainError(f"need at least 3 grid points, got {grid_points}")
     if grid_points > MAX_GRID_POINTS:
         raise TooLarge(f"best response supports at most {MAX_GRID_POINTS} "
                        f"grid points, got {grid_points}")
@@ -226,20 +254,31 @@ def best_response(i: int, thetas, config: MarketConfig,
         raise DomainError("empty bid interval; eps_price too large")
     x_lb = payoff.exponent(theta_lb)
     payoff_at_candidate = payoff.at_candidate(x_lb)
-    last = max(int(grid_points), 3) - 1
+    last = int(grid_points) - 1
     step = (theta_hi - theta_lb) / last
 
-    def blocks():
-        counts = np.arange(min(_BLOCK, last + 1), dtype=float)
-        for start in range(0, last + 1, _BLOCK):
-            block = counts[:last + 1 - start] + start
-            block *= step
-            block += theta_lb
-            if start + _BLOCK > last:
-                block[-1] = theta_hi
-            yield payoff.overwrite(block, clamp=x_lb > _EXP_CLAMP)
+    def scan(a: int, b: int) -> np.ndarray:  # cells a to b - 1
+        stop = min(b * _CELL, last + 1)
+        block = np.arange(a * _CELL, stop, dtype=float) * step + theta_lb
+        if stop > last:
+            block[-1] = theta_hi
+        return payoff.overwrite(block, clamp=x_lb > _EXP_CLAMP)
 
-    k, payoff_k = _first_argmax(blocks())
+    # cell c holds bids c*_CELL onward; its bound leaves out theta_hi
+    first = np.arange(0, last + 1, _CELL, dtype=float)
+    end = np.minimum(first + (_CELL - 1), last - 1) * step + theta_lb
+    bounds = payoff.bound(first * step + theta_lb, end)
+    c = int(np.argmax(bounds))
+    keep = ~(bounds < np.max(scan(c, c + 1)))
+    keep[-1] = True  # the cell holding theta_hi
+    runs = []  # runs of kept cells, cut where a _BLOCK-bid block starts
+    for c in np.flatnonzero(keep).tolist():
+        if runs and runs[-1][1] == c and c % (_BLOCK // _CELL):
+            runs[-1][1] += 1
+        else:
+            runs.append([c, c + 1])
+    k, payoff_k = _first_argmax((scan(a, b) for a, b in runs),
+                                [a * _CELL for a, _ in runs])
     lo, at_k, hi = (theta_hi if j == last else j * step + theta_lb
                     for j in (max(k - 1, 0), k, min(k + 1, last)))
     theta_star, payoff_star = _golden_max(

@@ -212,6 +212,13 @@ class TestExitCodes:
         assert code == 1
         assert "grid points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", ["2", "0", "-5"])
+    def test_verify_grid_floor(self, symmetric_config_path, capsys, grid):
+        code = cli_main(["verify", "--config", str(symmetric_config_path),
+                         "--grid", grid])
+        assert code == 1
+        assert "at least 3 grid points" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key, literal", [
         ("betas", "Infinity"), ("betas", "NaN"), ("d_min", "NaN"),
         ("s_max", "Infinity"), ("eps_price", "-Infinity"),

@@ -11,11 +11,13 @@ from prosumer_market import (
     MODE_MODIFIED,
     MODE_TRUE,
     MarketConfig,
+    PANELS,
     SaturationWarning,
     TooLarge,
     UnboundedPayoff,
     best_response,
     brute_force_program,
+    case_study_spec,
     clearing_price,
     quantity_from_bid,
     solve_dual,
@@ -202,6 +204,27 @@ class TestBestResponse:
         with pytest.raises(TooLarge, match="grid points"):
             best_response(0, thetas, cfg, grid_points=10_000_001)
         assert best_response(0, thetas, cfg, grid_points=1000).gap <= 1e-6
+
+    @pytest.mark.parametrize("grid_points", [2, 1, 0, -5])
+    def test_best_response_grid_floor(self, grid_points):
+        cfg = MarketConfig(2, 1.0, 0.3, (12.0, 12.0))
+        with pytest.raises(DomainError, match="at least 3 grid points"):
+            best_response(0, np.full(2, -1.0), cfg, grid_points=grid_points)
+
+    @pytest.mark.parametrize("i", [-1, -3, 3, 7, 1.0, True, "0", None])
+    def test_rejects_invalid_prosumer_index(self, i):
+        cfg = MarketConfig(3, 2.0, 0.6, (3.5, 4.0, 5.5))
+        thetas = np.full(3, -1.0)
+        with pytest.raises(DomainError, match="prosumer index"):
+            best_response(i, thetas, cfg, grid_points=1000)
+        with pytest.raises(DomainError, match="prosumer index"):
+            strategic_payoff(i, thetas, cfg)
+
+    def test_accepts_numpy_integer_index(self):
+        cfg = MarketConfig(3, 2.0, 0.6, (3.5, 4.0, 5.5))
+        thetas = np.full(3, -1.0)
+        assert (best_response(np.int64(2), thetas, cfg, grid_points=1000)
+                == best_response(2, thetas, cfg, grid_points=1000))
 
 
 class TestBruteForce:
@@ -410,15 +433,45 @@ def _meshgrid_brute_force(config, mode, grid_points, zoom_passes=4):
     return oracle._certify(config, mode, np.array(best + [q_last]))
 
 
-def _full_best_response(i, thetas, config, grid_points):
-    """best_response with the whole grid's payoffs in one array.
+class TestCaseStudyGaps:
+    """Regression pins for the case study's strategic (Nash) rows."""
 
-    The grid is np.linspace itself, and its payoffs are the closed form in
-    _Payoff's order of operations; golden section and the candidate's
-    payoff run on _Payoff's scalar form, as in best_response.
+    @pytest.fixture(scope="class")
+    def rows(self):
+        rows = []
+        for panel in PANELS:
+            spec = case_study_spec(panel)
+            for value in spec.values():
+                config = spec.config_at(float(value))
+                nash = solve_dual(config, MODE_MODIFIED)
+                gaps = [best_response(i, nash.thetas, config).gap
+                        for i in range(config.n_prosumers)]
+                rows.append((config, nash, np.array(gaps)))
+        return rows
+
+    def test_37_nash_rows_are_not_equilibria(self, rows):
+        gaps = np.array([g for _, _, g in rows])
+        assert gaps.shape == (120, 11)
+        assert int(np.sum(gaps.max(axis=1) > 1e-9)) == 37
+        assert gaps.max() == pytest.approx(0.5128168, abs=1e-7)
+        assert gaps.min() >= -1e-12
+
+    def test_interior_u_below_2_splits_the_rows_as_the_gaps_do(self, rows):
+        # an interior q_i is a local best response only if
+        # u_i = r_i*(q_i + L) >= 2, L = (N-1)*d_min the shading length
+        for config, nash, gaps in rows:
+            q = nash.quantities
+            u = config.rates * (q + (config.n_prosumers - 1) * config.d_min)
+            interior = ~nash.allocation.at_capacity
+            assert np.any(interior & (u < 2)) == (gaps.max() > 1e-9)
+
+
+def _grid_payoffs(i, thetas, config, grid_points):
+    """The interval's ends, np.linspace's grid and its payoffs.
+
+    The payoffs are the closed form in _Payoff's order of operations.
     """
-    payoff = oracle._Payoff(i, thetas, config)
-    rival_sum = payoff.rival_sum
+    rival_sum = oracle._Payoff(i, thetas, config).rival_sum
     theta_hi = -rival_sum - config.eps_price
     theta_lb = oracle._capacity_lower_bound(rival_sum, config)
     grid = np.linspace(theta_lb, theta_hi, grid_points)
@@ -426,6 +479,18 @@ def _full_best_response(i, thetas, config, grid_points):
     x = r * d * (n - 1) - r * n * d * rival_sum / (grid + rival_sum)
     payoffs = ((config.offsets[i] + rival_sum / n) - grid * ((n - 1) / n)
                - np.exp(np.minimum(x, 700.0)))
+    return theta_lb, theta_hi, grid, payoffs
+
+
+def _full_best_response(i, thetas, config, grid_points):
+    """best_response with the whole grid's payoffs in one array.
+
+    Golden section and the candidate's payoff run on _Payoff's scalar form,
+    as in best_response.
+    """
+    payoff = oracle._Payoff(i, thetas, config)
+    theta_lb, theta_hi, grid, payoffs = _grid_payoffs(i, thetas, config,
+                                                      grid_points)
     k = int(np.argmax(payoffs))
     lo = float(grid[max(k - 1, 0)])
     hi = float(grid[min(k + 1, grid_points - 1)])
@@ -476,27 +541,51 @@ class TestBlockedScans:
                     _meshgrid_brute_force(config, mode, grid_points,
                                           zoom_passes))
 
-    @pytest.mark.parametrize("grid_points", [8191, 8192, 8193, 200_000])
+    @pytest.mark.parametrize("grid_points",
+                             [3, 17, 8191, 8192, 8193, 200_000])
     def test_best_response_matches_full_scan(self, grid_points):
         rng = np.random.default_rng(grid_points)
         cfg = MarketConfig(11, 4.0, 3.0, tuple(2.0 + 0.1 * i for i in range(11)))
-        profiles = [(cfg, solve_dual(cfg, MODE_MODIFIED).thetas)]
+        profiles = [(cfg, solve_dual(cfg, MODE_MODIFIED).thetas, (0, 10))]
         for n in (2, 4, 7):
             betas = tuple(rng.uniform(0.5, 12.0, n))
             d_min = float(rng.uniform(0.3, 4.0))
             s_max = float(rng.uniform(0.1, 1.5)) * d_min * (n - 1)
             profiles.append((MarketConfig(n, d_min, s_max, betas),
-                             -rng.uniform(0.1, 3.0, n)))
-        for config, thetas in profiles:
-            for i in (0, config.n_prosumers - 1):
-                assert (best_response(i, thetas, config, grid_points)
-                        == _full_best_response(i, thetas, config, grid_points))
+                             -rng.uniform(0.1, 3.0, n), (0, n - 1)))
+        # case-study Nash rows that are not equilibria, at the prosumer
+        # with the largest gap, among them the unbalanced row s_max = 4.5
+        for panel, k, i in (("capacity_unbounded", 29, 2),
+                            ("capacity_unbounded", 7, 4),
+                            ("demand_unbounded", 29, 2)):
+            spec = case_study_spec(panel)
+            config = spec.config_at(float(spec.values()[k]))
+            profiles.append((config, solve_dual(config, MODE_MODIFIED).thetas,
+                             (i,)))
+        # the exponent passes 700 at theta_lb (x_lb = 1500), and the
+        # fallback interval s_max >= (N-1)*d_min
+        profiles.append((MarketConfig(3, 1.0, 1.5, (5000.0,) * 3),
+                         np.full(3, -1.0), (0, 2)))
+        profiles.append((MarketConfig(3, 1.0, 2.5, (2.0, 3.0, 4.0)),
+                         -np.array([0.5, 1.0, 2.0]), (0, 2)))
+        # a nearly flat curve: the payoff climbs toward the price pole, so
+        # a small grid's maximum lies in the cell holding theta_hi
+        profiles.append((MarketConfig(2, 1.0, 0.5, (0.05, 2.0)),
+                         np.array([-5.0, -0.1]), (0,)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SaturationWarning)
+            for config, thetas, indices in profiles:
+                for i in indices:
+                    assert (best_response(i, thetas, config, grid_points)
+                            == _full_best_response(i, thetas, config,
+                                                   grid_points))
 
     @pytest.mark.parametrize("grid_points", [3, 8191, 8192, 8193, 20_000])
     @pytest.mark.parametrize("s_max", [3.0, 40.0], ids=["bound", "fallback"])
     def test_best_response_grid_is_linspace(self, grid_points, s_max,
                                             monkeypatch):
-        # the blocks, taken in order, are np.linspace's grid bit for bit
+        # every evaluated block is np.linspace's grid bit for bit, and every
+        # bid left out has a payoff strictly below the grid maximum
         seen = []
         overwrite = oracle._Payoff.overwrite
 
@@ -509,11 +598,16 @@ class TestBlockedScans:
                            tuple(2.0 + 0.1 * i for i in range(11)))
         thetas = -np.linspace(1.0, 3.0, 11)
         best_response(3, thetas, cfg, grid_points)
-        rival_sum = float(thetas.sum()) - float(thetas[3])
-        grid = np.linspace(oracle._capacity_lower_bound(rival_sum, cfg),
-                           -rival_sum - cfg.eps_price, grid_points)
-        assert max(block.size for block in seen) <= oracle._BLOCK
-        assert np.concatenate(seen).tobytes() == grid.tobytes()
+        _, _, grid, payoffs = _grid_payoffs(3, thetas, cfg, grid_points)
+        evaluated = np.zeros(grid_points, dtype=bool)
+        for block in seen:
+            assert block.size <= oracle._BLOCK
+            start = int(np.searchsorted(grid, block[0]))
+            assert grid[start:start + block.size].tobytes() == block.tobytes()
+            evaluated[start:start + block.size] = True
+        assert np.all(payoffs[~evaluated] < payoffs.max())
+        if grid_points == 20_000:  # the bound leaves most of the grid out
+            assert evaluated.mean() < 0.1
 
     def test_first_argmax_keeps_first_tie_across_blocks(self):
         blocks = [np.array([1.0, 3.0]), np.array([[3.0, 2.0], [3.0, 0.0]])]
