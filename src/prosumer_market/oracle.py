@@ -13,13 +13,16 @@ Two routes:
     returned grid point. Its free axes share one spacing, so the balancing
     prosumer's quantity is constant along each anti-diagonal of the grid,
     and its curve is evaluated once per anti-diagonal, at feasible
-    quantities only.
+    quantities only. For N = 3 a Lagrangian bound, priced at the previous
+    pass's dual estimate, lets the scan skip rows of the grid that cannot
+    win.
 
 Both build and scan their grids in blocks of at most _BLOCK cells and keep
 the first maximum, as np.argmax over the whole grid would; memory grows
-with the grid only by best_response's one bound per _CELL bids. Each call
-issues at most one SaturationWarning. Both deliberately avoid the solver
-module's marginal-inversion machinery.
+with the grid only by best_response's one bound per _CELL bids and
+brute_force_program's one bound per grid row. Each call issues at most one
+SaturationWarning. Both deliberately avoid the solver module's
+marginal-inversion machinery.
 """
 
 from __future__ import annotations
@@ -93,6 +96,18 @@ class _Curves:
             _warn_saturated(stacklevel=3)
 
 
+def _count(name: str, value, least: int) -> int:
+    """value as an int; DomainError unless it is an integer of at least least.
+
+    numpy integers count, bools do not, as for the prosumer index.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise DomainError(f"need at least {least} {name}, got {value}")
+    return int(value)
+
+
 def _first_argmax(blocks, starts=None) -> tuple[int, float]:
     """Flat index and value of the first maximum over blocks taken in order.
 
@@ -130,6 +145,8 @@ class _Payoff:
         if t.shape != (config.n_prosumers,):
             raise DomainError(
                 f"expected {config.n_prosumers} bids, got shape {t.shape}")
+        if not np.isfinite(t).all():
+            raise DomainError(f"bids must be finite, got {t}")
         self.total, self.candidate = float(t.sum()), float(t[i])
         self.rival_sum = rival_sum = self.total - self.candidate
         n, d, r = config.n_prosumers, config.d_min, float(config.rates[i])
@@ -236,11 +253,11 @@ def best_response(i: int, thetas, config: MarketConfig,
     and the cell holding theta_hi, which rounding may put out of order; so
     it returns the full scan's result bit for bit. The exponent falls with
     the bid, so the call warns exactly when the one at theta_lb or at the
-    candidate exceeds 700. Raises DomainError below 3 and TooLarge above
+    candidate exceeds 700. Raises DomainError for non-finite bids and
+    unless grid_points is an integer of at least 3, and TooLarge above
     MAX_GRID_POINTS grid points.
     """
-    if grid_points < 3:
-        raise DomainError(f"need at least 3 grid points, got {grid_points}")
+    grid_points = _count("grid points", grid_points, 3)
     if grid_points > MAX_GRID_POINTS:
         raise TooLarge(f"best response supports at most {MAX_GRID_POINTS} "
                        f"grid points, got {grid_points}")
@@ -254,7 +271,7 @@ def best_response(i: int, thetas, config: MarketConfig,
         raise DomainError("empty bid interval; eps_price too large")
     x_lb = payoff.exponent(theta_lb)
     payoff_at_candidate = payoff.at_candidate(x_lb)
-    last = int(grid_points) - 1
+    last = grid_points - 1
     step = (theta_hi - theta_lb) / last
 
     def scan(a: int, b: int) -> np.ndarray:  # cells a to b - 1
@@ -290,17 +307,22 @@ def best_response(i: int, thetas, config: MarketConfig,
                               payoff_star - payoff_at_candidate)
 
 
-def _welfare_blocks(curves: _Curves, axes, lo_full: float, hi_full: float):
-    """The welfare over the grid of free coordinates, in row blocks.
+def _welfare_blocks(curves: _Curves, axes, lo_full: float, hi_full: float,
+                    shift: float = 0.0):
+    """The welfare over one pass's grid, in row blocks, and their flat starts.
 
-    Yields the grid in row-major order, a block of whole rows at a time;
-    the last prosumer balances the free ones. The free prosumers' curves are
+    Returns the blocks, in row-major order, a block of whole rows at a time,
+    and each block's flat index (None for N = 2, which yields every row).
+    The last prosumer balances the free ones. The free prosumers' curves are
     separable, so they are evaluated once per axis and broadcast. The axes
     share one spacing, so the balancing quantity of cell (i, j) depends on
     i + j only: the last prosumer's curve is evaluated once, on the 2G-1
     points w = linspace(-(a_0 + b_0), -(a_end + b_end), 2G-1), reads -inf
     where w leaves [lo_full, hi_full], and reaches the cells through the
     zero-copy Hankel view hankel[i, j] = last[i + j]. For N = 2, w = -a.
+    For N = 3 the blocks skip every row whose _row_bounds, at the given
+    shift, lies strictly below the maximum of the row of largest bound, so
+    the first grid maximum is still among the rows they hold.
     """
     n, size = len(axes) + 1, axes[0].size
     w = np.linspace(-sum(axis[0] for axis in axes),
@@ -309,19 +331,57 @@ def _welfare_blocks(curves: _Curves, axes, lo_full: float, hi_full: float):
     last = np.full(w.size, -np.inf)
     last[feasible] = curves(n - 1, w[feasible])
     head = curves(0, axes[0])
-    rows = _BLOCK
-    if n == 3:
-        tail = curves(1, axes[1])
-        hankel = np.lib.stride_tricks.sliding_window_view(last, size)
-        rows = _BLOCK // size  # size <= 3162 under MAX_GRID_POINTS
-    for start in range(0, size, rows):
-        block = slice(start, start + rows)
-        if n == 3:
-            vals = head[block, None] + tail[None, :]
-            vals += hankel[block]
-        else:
-            vals = head[block] + last[block]
-        yield vals
+    if n == 2:
+        return (head[a:a + _BLOCK] + last[a:a + _BLOCK]
+                for a in range(0, size, _BLOCK)), None
+    tail = curves(1, axes[1])
+    hankel = np.lib.stride_tricks.sliding_window_view(last, size)
+
+    def rows(a: int, b: int) -> np.ndarray:  # rows a to b - 1
+        vals = head[a:b, None] + tail[None, :]
+        vals += hankel[a:b]
+        return vals
+
+    bounds = _row_bounds(head, tail, last, shift)
+    top = int(np.argmax(bounds))
+    kept = np.flatnonzero(~(bounds < np.max(rows(top, top + 1))))
+    # runs of kept rows, cut where a _BLOCK-cell block of the full scan
+    # starts; size <= 3162 under MAX_GRID_POINTS
+    per_block = _BLOCK // size
+    cut = np.flatnonzero((np.diff(kept) != 1) | (kept[1:] % per_block == 0))
+    firsts = kept[np.r_[0, cut + 1]].tolist()
+    ends = (kept[np.r_[cut, kept.size - 1]] + 1).tolist()
+    return ((rows(a, b) for a, b in zip(firsts, ends)),
+            [a * size for a in firsts])
+
+
+def _row_bounds(head, tail, last, shift: float) -> np.ndarray:
+    """Upper bounds on each row's cells head[i] + tail[j] + last[i + j].
+
+    For any shift e the cell equals (head[i] - e*i) + (tail[j] - e*j) +
+    (last[i + j] + e*(i + j)) exactly, so row i is at most head[i] - e*i +
+    max_j (tail[j] - e*j) + the maximum of last[k] + e*k over its window
+    i <= k <= i + G - 1. Every window holds k = G - 1, so its maximum is
+    the larger of a suffix maximum of the first G entries and a prefix
+    maximum of the last G. The rounding of a cell sum and of its bound
+    together stays below 8*eps*scale, scale = max|head| + max|tail| +
+    max|last| + |e|*(2G - 2) over finite entries; the bound adds twice
+    that as slack. With e = eta*h, eta the balance price and h the
+    axes' spacing, the three terms are the prosumers' Lagrangians
+    S_i(q_i) - eta*q_i up to constants, and the bound is tight near the
+    optimum.
+    """
+    size = head.size
+    k = np.arange(last.size)
+    lagrangian = last + shift * k
+    window = np.maximum(
+        np.maximum.accumulate(lagrangian[size - 1::-1])[::-1],
+        np.maximum.accumulate(lagrangian[size - 1:]))
+    scale = (np.max(np.abs(head)) + np.max(np.abs(tail))
+             + np.max(np.abs(last), where=last > -np.inf, initial=0.0)
+             + abs(shift) * k[-1])
+    return ((head - shift * k[:size]) + np.max(tail - shift * k[:size])
+            + window + 16 * np.finfo(float).eps * scale)
 
 
 def brute_force_program(config: MarketConfig, mode: str,
@@ -343,7 +403,18 @@ def brute_force_program(config: MarketConfig, mode: str,
     line at the grid's resolution. Two passes are the default; README's
     numerical notes say why more do not bring the returned point closer to
     the optimum. The scan holds about _BLOCK cells at a time and returns the
-    first grid maximum in row-major order. Raises TooLarge, before building
+    first grid maximum in row-major order.
+
+    For N = 3 each pass skips the rows that _row_bounds rules out. Its
+    shift is eta*h, h the pass's spacing and eta the median of the three
+    marginals at the previous pass's incumbent, the dual price _certify
+    estimates; the first pass has none and uses 0, under which the bound
+    rules out almost no row. A skipped row's cells all lie strictly below
+    the grid maximum, so the flat index, its value, the zoom windows and
+    the result are those of the full scan, bit for bit, whatever the shift.
+    _certify then puts a prosumer within its tolerance of -s_max exactly
+    there. Raises DomainError unless grid_points is an integer of at least
+    1000 and zoom_passes one of at least 0, and TooLarge, before building
     any grid, when grid_points**(N-1) exceeds MAX_GRID_POINTS (3162 points
     for N = 3).
     """
@@ -352,8 +423,8 @@ def brute_force_program(config: MarketConfig, mode: str,
     n = config.n_prosumers
     if n > 3:
         raise TooLarge(f"brute force supports at most 3 prosumers, got {n}")
-    if grid_points < 1000:
-        raise DomainError(f"need at least 1000 grid points, got {grid_points}")
+    grid_points = _count("grid points", grid_points, 1000)
+    zoom_passes = _count("zoom passes", zoom_passes, 0)
     if grid_points ** (n - 1) > MAX_GRID_POINTS:
         raise TooLarge(f"brute force supports at most {MAX_GRID_POINTS} grid "
                        f"points in all, got {grid_points}**{n - 1}")
@@ -362,35 +433,53 @@ def brute_force_program(config: MarketConfig, mode: str,
     lo_full, hi_full = -s, (n - 1) * s
     # the free coordinates q_1..q_{N-1}; the last prosumer balances them
     lo, hi = [lo_full] * (n - 1), [hi_full] * (n - 1)
+    eta = 0.0  # the first pass has no incumbent to price the balance at
     for _ in range(zoom_passes + 1):
         axes = [np.linspace(a, b, grid_points) for a, b in zip(lo, hi)]
-        k, _ = _first_argmax(_welfare_blocks(curves, axes, lo_full, hi_full))
+        h = (hi[0] - lo[0]) / (grid_points - 1)  # the axes' spacing
+        k, _ = _first_argmax(*_welfare_blocks(curves, axes, lo_full, hi_full,
+                                              eta * h))
         k = np.unravel_index(k, (grid_points,) * (n - 1))
         best = [float(axis[j]) for axis, j in zip(axes, k)]
+        point = best + [-best[0] - sum(best[1:])]
+        if n == 3:
+            eta = float(np.median(_marginals(config, mode, point)))
         # every axis re-grids a window of four cells, shifted inside the box
-        half = 2 * (hi[0] - lo[0]) / (grid_points - 1)
+        half = 2 * h
         for j, q in enumerate(best):
             lo[j], hi[j] = q - half, q + half
             if lo[j] < lo_full:
                 lo[j], hi[j] = lo_full, lo_full + 2 * half
             elif hi[j] > hi_full:
                 lo[j], hi[j] = hi_full - 2 * half, hi_full
-    q_last = -best[0] - best[1] if n == 3 else -best[0]
     curves.warn()
-    return _certify(config, mode, np.array(best + [q_last]))
+    return _certify(config, mode, point)
+
+
+def _marginals(config: MarketConfig, mode: str, q) -> np.ndarray:
+    """Every prosumer's marginal curve at q, without a warning: q comes
+    from the grid scan, which issues the call's one SaturationWarning."""
+    if mode == MODE_TRUE:
+        return _marginal(config.rates, q, warn=False)
+    return _shaded_marginal(config.rates, float(config.stack.lengths[0, 0]),
+                            q, warn=False)
 
 
 def _certify(config: MarketConfig, mode: str, quantities) -> Allocation:
-    """Wrap a grid optimum as an Allocation with an estimated dual price."""
-    q = np.asarray(quantities, dtype=float)
-    # every q_i is a grid point the scan evaluated, so the scan has already
-    # seen any clamp these marginals would engage
-    if mode == MODE_TRUE:
-        m = _marginal(config.rates, q, warn=False)
-    else:
-        m = _shaded_marginal(config.rates, float(config.stack.lengths[0, 0]),
-                             q, warn=False)
+    """Wrap a grid optimum as an Allocation with an estimated dual price.
+
+    A prosumer within max(tol_root, 1e-7) of -s_max is at capacity and is
+    put exactly there; the last interior prosumer takes up the difference,
+    so the allocation stays balanced to rounding.
+    """
+    q = np.array(quantities, dtype=float)
     at_capacity = np.abs(q + config.s_max) <= max(config.tol_root, 1e-7)
+    free = np.flatnonzero(~at_capacity)
+    if at_capacity.any() and free.size:
+        q[at_capacity] = -config.s_max
+        q[free[-1]] = 0.0
+        q[free[-1]] = -q.sum()
+    m = _marginals(config, mode, q)
     interior = m[~at_capacity]
     dual_price = float(np.median(interior) if interior.size else np.max(m))
     residuals = np.where(at_capacity, np.maximum(0.0, m - dual_price),

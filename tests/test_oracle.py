@@ -220,6 +220,30 @@ class TestBestResponse:
         with pytest.raises(DomainError, match="prosumer index"):
             strategic_payoff(i, thetas, cfg)
 
+    @pytest.mark.parametrize("bid", [np.nan, -np.inf, np.inf])
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_rejects_non_finite_bids(self, bid, at):
+        cfg = MarketConfig(3, 2.0, 0.6, (3.5, 4.0, 5.5))
+        thetas = np.full(3, -1.0)
+        thetas[at] = bid
+        with pytest.raises(DomainError, match="finite"):
+            best_response(0, thetas, cfg, grid_points=1000)
+        with pytest.raises(DomainError, match="finite"):
+            strategic_payoff(0, thetas, cfg)
+
+    @pytest.mark.parametrize("grid_points", [3.5, 1000.0, np.nan, True,
+                                             "1000", None])
+    def test_rejects_non_integer_grid(self, grid_points):
+        cfg = MarketConfig(2, 1.0, 0.3, (12.0, 12.0))
+        with pytest.raises(DomainError, match="grid points must be an int"):
+            best_response(0, np.full(2, -1.0), cfg, grid_points=grid_points)
+
+    def test_accepts_numpy_integer_grid(self):
+        cfg = MarketConfig(2, 1.0, 0.3, (12.0, 12.0))
+        thetas = np.full(2, -1.0)
+        assert (best_response(0, thetas, cfg, grid_points=np.int32(1000))
+                == best_response(0, thetas, cfg, grid_points=1000))
+
     def test_accepts_numpy_integer_index(self):
         cfg = MarketConfig(3, 2.0, 0.6, (3.5, 4.0, 5.5))
         thetas = np.full(3, -1.0)
@@ -281,6 +305,46 @@ class TestBruteForce:
         cfg = MarketConfig(2, 1.0, 1.0, (2.0, 2.0))
         with pytest.raises(DomainError):
             brute_force_program(cfg, MODE_TRUE, grid_points=100)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"zoom_passes": -1}, {"zoom_passes": 1.5}, {"zoom_passes": True},
+        {"zoom_passes": np.nan}, {"grid_points": 1000.5},
+        {"grid_points": 1000.0}, {"grid_points": np.nan},
+        {"grid_points": True}])
+    def test_rejects_bad_grid_arguments(self, kwargs):
+        cfg = MarketConfig(3, 2.0, 0.6, (3.5, 4.0, 5.5))
+        with pytest.raises(DomainError):
+            brute_force_program(cfg, MODE_TRUE, **kwargs)
+
+    def test_accepts_numpy_integer_grid_arguments(self):
+        cfg = MarketConfig(2, 1.0, 0.3, (9.0, 12.0))
+        _assert_same_allocation(
+            brute_force_program(cfg, MODE_TRUE, np.int64(1000), np.int8(0)),
+            brute_force_program(cfg, MODE_TRUE, 1000, 0))
+
+    def test_prosumer_at_capacity_sits_exactly_there(self):
+        # the grid returns q_2 = -s_max + 4.2e-9, which the certificate marks
+        # at capacity; it must then sit at -s_max exactly, or a check that
+        # reads q_2 as interior finds its marginal 5.8e-3 off the price
+        cfg = MarketConfig(3, 1.4594686224636315, 0.7051824460730006,
+                           (4.46160798082051, 5.9884825377096895,
+                            3.915775901594828))
+        alloc = brute_force_program(cfg, MODE_MODIFIED, grid_points=2001)
+        q, s = alloc.quantities, cfg.s_max
+        assert alloc.at_capacity.tolist() == [False, False, True]
+        assert q[2] == -s
+        assert abs(q.sum()) <= 1e-12 * 3 * max(1.0, s)
+        # stationarity as the benchmark checks it: relative to the price,
+        # a prosumer within 1e-9*max(1, s_max) of -s_max may fall below it
+        length = _shading_length(3, cfg.d_min)
+        m = (1 + q / length) * cfg.rates * np.exp(-cfg.rates * q)
+        rel = (m - alloc.dual_price) / alloc.dual_price
+        rel = np.where(np.abs(q + s) <= 1e-9 * max(1.0, s),
+                       np.maximum(rel, 0.0), rel)
+        assert np.max(np.abs(rel)) <= 1e-4
+        np.testing.assert_allclose(
+            q, solve_dual(cfg, MODE_MODIFIED).allocation.quantities,
+            atol=1e-6)
 
     def test_mode_validation(self):
         cfg = MarketConfig(2, 1.0, 1.0, (2.0, 2.0))
@@ -365,12 +429,25 @@ class TestBruteForce:
                           ((0.123, 0.777), zoom), ((-s, 2 * s - zoom), zoom)]:
             a, b = (np.linspace(x, x + width, g) for x in lo)
             curves = Recorder()
-            for _ in oracle._welfare_blocks(curves, [a, b], -np.inf, np.inf):
-                pass
+            oracle._welfare_blocks(curves, [a, b], -np.inf, np.inf)
             assert curves.last.size == 2 * g - 1
             err = np.abs(curves.last[i] + np.add.outer(a, b))
             ulp = np.spacing(np.max(np.abs(a)) + np.max(np.abs(b)))
             assert np.max(err) <= 4 * ulp
+
+
+def _certify_n3_market(seed):
+    """The N=3 market perfbench's certify workload draws for a seed."""
+    rng = np.random.default_rng([seed, 3])
+    for _ in range(2):  # the workload first picks two case-study points
+        rng.choice(30, 2, replace=False)
+    for n, beta_lo, beta_hi in ((2, 6.0, 9.0), (3, 3.5, 6.0)):
+        d_min = rng.uniform(0.5, 2.0)
+        betas = tuple(rng.uniform(beta_lo, beta_hi, n))
+        room = (n - 1) * d_min - 5.0 * d_min / min(betas)
+        s_max = room * rng.uniform(0.5, 0.9)
+    return MarketConfig(3, float(d_min), float(s_max),
+                        tuple(float(b) for b in betas))
 
 
 def _capacity_line_markets(count, seed):
@@ -392,8 +469,12 @@ def _capacity_line_markets(count, seed):
 # Full-array scans, kept as references the blocked scans must match bit for
 # bit.
 
-def _meshgrid_brute_force(config, mode, grid_points, zoom_passes=4):
-    """brute_force_program with every cell of a pass in one meshgrid."""
+def _meshgrid_brute_force(config, mode, grid_points, zoom_passes=4,
+                          row_maxima=None):
+    """brute_force_program with every cell of a pass in one meshgrid.
+
+    For N = 3, row_maxima, if given, receives each pass's row maxima.
+    """
     n, s = config.n_prosumers, config.s_max
     r, offsets, d_min = config.rates, config.offsets, config.d_min
     if mode == MODE_TRUE:
@@ -419,6 +500,8 @@ def _meshgrid_brute_force(config, mode, grid_points, zoom_passes=4):
         vals = vals + f(n - 1, q_last)
         feasible = (q_last >= lo_full) & (q_last <= hi_full)
         vals = np.where(feasible, vals, -np.inf)
+        if row_maxima is not None:
+            row_maxima.append(vals.max(axis=1))
         k = np.unravel_index(int(np.argmax(vals)), vals.shape)
         best = [float(axis[j]) for axis, j in zip(axes, k)]
         # a window of four cells around the incumbent, shifted inside
@@ -533,13 +616,74 @@ class TestBlockedScans:
         (2, 20001, 4, 4), (3, 1000, 3, 1), (3, 1001, 3, 1), (3, 2001, 1, 4)])
     def test_brute_force_matches_meshgrid_scan(self, n, grid_points, count,
                                                zoom_passes):
-        for config in _random_markets(n, count, seed=grid_points):
+        markets = _random_markets(n, count, seed=grid_points)
+        if n == 3:  # r*s_max = 700: the clamp engages at -s_max
+            markets.append(MarketConfig(3, 1.0, 1.0, (3500.0,) * 3))
+        for config in markets:
             for mode in (MODE_TRUE, MODE_MODIFIED):
                 _assert_same_allocation(
                     brute_force_program(config, mode, grid_points,
                                         zoom_passes),
                     _meshgrid_brute_force(config, mode, grid_points,
                                           zoom_passes))
+
+    @staticmethod
+    def _scanned_rows(monkeypatch):
+        """A list that gets, per N=3 brute-force pass, the rows scanned."""
+        passes = []
+        first_argmax = oracle._first_argmax
+
+        def record(blocks, starts=None):
+            seen = []
+            passes.append(seen)
+
+            def rows():
+                for n, block in enumerate(blocks):
+                    first = starts[n] // block.shape[1]
+                    seen.extend(range(first, first + block.shape[0]))
+                    yield block
+            return first_argmax(rows(), starts)
+
+        monkeypatch.setattr(oracle, "_first_argmax", record)
+        return passes
+
+    @pytest.mark.parametrize("grid_points, zoom_passes", [(1000, 2),
+                                                          (1001, 3)])
+    def test_skipped_rows_lie_below_the_grid_maximum(
+            self, grid_points, zoom_passes, monkeypatch):
+        markets = _random_markets(3, 4, seed=7) + [
+            MarketConfig(3, 1.0, 1.0, (3500.0,) * 3),
+            _capacity_line_markets(1, seed=2026)[0]]
+        passes = self._scanned_rows(monkeypatch)
+        for config in markets:
+            for mode in (MODE_TRUE, MODE_MODIFIED):
+                passes.clear()
+                brute_force_program(config, mode, grid_points, zoom_passes)
+                row_maxima = []
+                _meshgrid_brute_force(config, mode, grid_points, zoom_passes,
+                                      row_maxima)
+                assert len(passes) == len(row_maxima) == zoom_passes + 1
+                for rows, best in zip(passes, row_maxima):
+                    skipped = np.ones(grid_points, dtype=bool)
+                    skipped[rows] = False
+                    assert np.all(best[skipped] < best.max())
+
+    def test_zoom_passes_scan_few_rows(self, monkeypatch):
+        # the N=3 markets of perfbench's certify workload, seeds 1-10: the
+        # first pass has no dual estimate and scans about every row, the
+        # zoom passes a median of about 8 % of them
+        shares = []
+        passes = self._scanned_rows(monkeypatch)
+        for seed in range(1, 11):
+            config = _certify_n3_market(seed)
+            for mode in (MODE_TRUE, MODE_MODIFIED):
+                passes.clear()
+                brute_force_program(config, mode, grid_points=2001)
+                assert len(passes) == 3
+                assert len(passes[0]) >= 0.99 * 2001
+                shares += [len(rows) / 2001 for rows in passes[1:]]
+        assert np.median(shares) < 0.1
+        assert max(shares) < 0.5
 
     @pytest.mark.parametrize("grid_points",
                              [3, 17, 8191, 8192, 8193, 200_000])
