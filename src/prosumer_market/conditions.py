@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import MarketConfig
+from .market import MarketConfig, _per_prosumer
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ def eq15_bounds(thetas,
     Lower bound: payoff concavity in the own bid; upper bound: positive
     clearing price with margin eps_price.
     """
-    rivals = _rival_sums(np.asarray(thetas, dtype=float))
+    rivals = _rival_sums(_per_prosumer(config, thetas, "bids"))
     # S''/S' = -r for the exponential family, so the left end is
     # rivals * (N*d_min/2 * r - 1)
     lower = rivals * (config.n_prosumers * config.d_min / 2.0 * config.rates
@@ -107,7 +107,7 @@ def eq15_bounds(thetas,
 
 def check_eq15(thetas, config: MarketConfig) -> np.ndarray:
     """True for prosumer i iff its bid lies inside the eq15 interval."""
-    t = np.asarray(thetas, dtype=float)
+    t = _per_prosumer(config, thetas, "bids")
     lower, upper = eq15_bounds(t, config)
     return (lower <= t) & (t <= upper)
 
@@ -123,7 +123,7 @@ def _eq21_ok(quantities: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
 
 def check_eq21(quantities, config: MarketConfig) -> np.ndarray:
     """Uniqueness threshold q_i >= 5*d_min/beta_i - d_min*(N-1) at each point."""
-    return _eq21_ok(np.asarray(quantities, dtype=float),
+    return _eq21_ok(_per_prosumer(config, quantities, "quantities"),
                     config.concavity_thresholds)
 
 

@@ -30,8 +30,8 @@ import numpy as np
 
 from .conditions import ConditionReport, _eq21_ok, evaluate_conditions
 from .errors import ConfigError, DomainError
-from .market import (MarketConfig, MarketStack, _saturates, _warn_saturated,
-                     market_stack)
+from .market import (MarketConfig, MarketStack, _count, _saturates,
+                     _warn_saturated, market_stack)
 from .solver import (MODE_MODIFIED, MODE_TRUE, SolveResult, _solve_stack,
                      _welfares, solve_dual)
 
@@ -72,8 +72,7 @@ class SweepSpec:
         if self.variable not in SWEEP_VARIABLES:
             raise DomainError(
                 f"variable must be one of {SWEEP_VARIABLES}, got {self.variable!r}")
-        if self.steps < 2:
-            raise DomainError(f"steps must be at least 2, got {self.steps}")
+        object.__setattr__(self, "steps", _count("steps", self.steps, 2))
         if self.steps > MAX_SWEEP_STEPS:
             raise DomainError(
                 f"steps must be at most {MAX_SWEEP_STEPS}, got {self.steps}")

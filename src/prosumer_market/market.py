@@ -58,6 +58,27 @@ def _require_positive(name: str, value) -> None:
         raise DomainError(f"{name} must be positive and finite, got {value}")
 
 
+def _count(name: str, value, least: int) -> int:
+    """value as an int; DomainError unless it is an integer of at least least.
+
+    numpy integers count, bools do not, as for the prosumer index.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise DomainError(f"need at least {least} {name}, got {value}")
+    return int(value)
+
+
+def _per_prosumer(config: MarketConfig, values, what: str) -> np.ndarray:
+    """values as a float array with one entry per prosumer of config."""
+    arr = np.asarray(values, dtype=float)
+    if arr.shape != (config.n_prosumers,):
+        raise DomainError(
+            f"expected {config.n_prosumers} {what}, got shape {arr.shape}")
+    return arr
+
+
 # The exponential kernel, the only implementation of S and the shaded curve.
 # Each function broadcasts q against per-prosumer rates r = beta/(5*d_min)
 # and offsets exp(-beta/5): MarketConfig.rates/offsets for all prosumers at
@@ -137,10 +158,11 @@ class MarketStack(NamedTuple):
     the stack of its market alone. The bounds and the shading length are
     stored at full (m, n) shape, which numpy combines faster than a
     broadcast column. The non-concave prosumers (eq21 threshold
-    above -s_max) are marked in non_concave; utility_lo is their term and
-    holds no meaning for the others. peak_marginal is every prosumer's
-    largest shaded marginal on [-s_max, q_upper], at its eq21 threshold
-    clipped to that interval.
+    above -s_max) are marked in non_concave. peak_marginal is every
+    prosumer's largest shaded marginal on [-s_max, q_upper], at its eq21
+    threshold clipped to that interval. log_switch is ln of the price above
+    which a non-concave prosumer's shaded Lagrangian is highest at -s_max
+    (see _log_switch), and +inf for a concave prosumer.
     """
 
     d_min: np.ndarray  # (m, 1)
@@ -158,8 +180,8 @@ class MarketStack(NamedTuple):
     thresholds: np.ndarray  # eq21 threshold 5*d_min/beta - L
     non_concave: np.ndarray  # threshold above -s_max
     antideriv_dmin: np.ndarray  # A(d_min)
-    utility_lo: np.ndarray  # S_mod(-s_max)
     peak_marginal: np.ndarray  # S_mod' at the threshold clipped to the bounds
+    log_switch: np.ndarray  # ln of the price where -s_max takes over
 
 
 def _saturates(st: MarketStack) -> bool:
@@ -171,12 +193,76 @@ def _saturates(st: MarketStack) -> bool:
     return bool(np.max(st.rates * st.s_max) > _EXP_CLAMP)
 
 
+def _log_switch(r, L, lo, hi):
+    """ln of the price above which -s_max wins, per non-concave prosumer.
+
+    Takes the non-concave prosumers' rates, shading lengths and bounds as
+    flat arrays. Their shaded Lagrangian S_mod(q) - eta*q is highest at
+    -s_max or at the falling root clipped to q_upper, and -s_max wins
+    exactly above one price: the slope of the tangent to S_mod from
+    (-s_max, S_mod(-s_max)) where it touches the falling branch. With
+    u = r*(q + L), S_mod(q) = const - exp(-r*q)*(u + 1)/(r*L) and
+    S_mod'(q) = u*exp(-r*q)/L, so the touching point solves phi(u) = phi(a),
+    a = r*(L - s_max) < 1, where
+
+        phi(u) = u - ln(u**2 + (1 - a)*u + 1),
+        phi' = (u - 1)*(u - a)/(u**2 + (1 - a)*u + 1):
+
+    phi falls to the eq21 threshold u = 1 and rises, convex, above it (a
+    <= -1 puts S_mod(-s_max) above every other value: no touching point).
+    In t = u - 1 and delta = 1 - a, phi(1 + t) - phi(1) = t - log1p(t) -
+    log1p(t**2/((2 + delta)*(1 + t))) and phi(a) - phi(1) =
+    2*atanh(delta/2) - delta, forms that keep their digits near the branch
+    point, where phi is flat. The root takes four Newton steps from the
+    branch-point estimate t = sqrt(2*(phi(a) - phi(1))*(2 + delta)/delta),
+    always four, so that a market's result does not depend on its stack,
+    and the switch is ln(u/L) + r*L - u; a root at t = 0 is the marginal's
+    peak. Where the touching point lies beyond q_upper, the falling side is
+    q_upper, which wins up to its chord slope from -s_max,
+    (S_mod(q_upper) - S_mod(-s_max))/(q_upper + s_max), written with the
+    factor exp(r*s_max) taken out and no constant term to cancel: -inf
+    when the slope is not positive.
+    """
+    a = r * (L + lo)
+    delta = 1.0 - a
+    t_hi = r * (hi + L) - 1.0
+    c = 2.0 + delta
+
+    def rise(t, c):  # phi(1 + t) - phi(1), with c = 2 + delta
+        return (t - np.log1p(t)) - np.log1p(t / (c * (1.0 + t)) * t)
+
+    target = np.full(a.shape, np.inf)  # phi(a) - phi(1)
+    touches = a > -1.0
+    target[touches] = (2.0 * np.arctanh(0.5 * delta[touches])
+                       - delta[touches])
+    beyond = (t_hi <= 0.0) | (rise(t_hi, c) < target)
+    newton = ~beyond & (target > 0.0)
+    dn, cn, gn = delta[newton], c[newton], target[newton]
+    t = np.minimum(np.sqrt(2.0 * gn * cn / dn), t_hi[newton])
+    for _ in range(4):
+        # from a start below the root the first step lands above it, and
+        # the rest fall to it; halving at most keeps t > 0 where rounding
+        # near the branch point would step past it
+        step = ((rise(t, cn) - gn) * (cn * (1.0 + t) + t * t)
+                / (t * (t + dn)))
+        t = np.maximum(t - step, 0.5 * t)
+    touch = np.zeros(a.shape)
+    touch[newton] = t
+    out = np.log1p(touch) + ((r * L - 1.0 - touch) - np.log(L))
+    # the chord slope times exp(-r*s_max)*r*L*(q_upper + s_max), with
+    # w = r*(q_upper + s_max): (1 + a) - exp(-w)*(1 + r*(q_upper + L))
+    w = r * (hi - lo)
+    chord = -(2.0 + t_hi) * np.expm1(-w) - w
+    up = beyond & (chord > 0.0)
+    out[beyond] = -np.inf
+    out[up] = np.log(chord[up] / (w[up] * L[up])) - r[up] * lo[up]
+    return out
+
+
 def market_stack(betas, d_min, s_max) -> MarketStack:
     """Stack the eta-independent terms of the markets (betas, d_min[k], s_max[k]).
 
-    d_min and s_max are sequences of one value per market. utility_lo is
-    evaluated at q_upper for the concave prosumers, where every exponent is
-    small, so that it does not overflow.
+    d_min and s_max are sequences of one value per market.
     """
     b = np.asarray(betas, dtype=float)
     n = b.size
@@ -195,25 +281,25 @@ def market_stack(betas, d_min, s_max) -> MarketStack:
     thresholds = 5.0 * d / b - (n - 1) * d
     nc = thresholds > lo
     a_dmin = _antideriv(rates, offsets, d, warn=False)
-    # where the exponent clamp engages at a steep prosumer, S_mod(-s_max)
-    # and the shaded marginal's peak can exceed the float range: the peak
-    # then reads inf, above every price. The shaded marginal rises below
-    # the eq21 threshold and falls above it
+    # where the exponent clamp engages at a steep prosumer, the shaded
+    # marginal's peak can exceed the float range: it then reads inf, above
+    # every price. The shaded marginal rises below the eq21 threshold and
+    # falls above it
     with np.errstate(over="ignore"):
-        utility_lo = _shaded_utility(rates, offsets, L, d,
-                                     np.where(nc, lo, hi), warn=False,
-                                     antideriv_dmin=a_dmin)
         peak_marginal = _shaded_marginal(rates, L,
                                          np.clip(thresholds, lo, hi),
                                          warn=False)
+    log_switch = np.full(rates.shape, np.inf)
+    if np.count_nonzero(nc):
+        log_switch[nc] = _log_switch(rates[nc], L[nc], lo[nc], hi[nc])
     # the all-free competitive price solves sum (ln r - ln eta)/r = 0
     log_price0 = ((log_rates * inv_rates).sum(axis=1)
                   / inv_rates.sum(axis=1))
     log_lengths = np.log(L[:, :1])
     return MarketStack(*map(_frozen, (
         d, s, log_lengths, log_price0, lo, hi, L, rates, log_rates,
-        inv_rates, rates * L, offsets, thresholds, nc, a_dmin, utility_lo,
-        peak_marginal)))
+        inv_rates, rates * L, offsets, thresholds, nc, a_dmin, peak_marginal,
+        log_switch)))
 
 
 class ExponentialUtility:

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, TooLarge, UnboundedPayoff
-from .market import (_EXP_CLAMP, Allocation, MarketConfig, _marginal,
-                     _shaded_marginal, _shaded_utility, _utility,
+from .market import (_EXP_CLAMP, Allocation, MarketConfig, _count,
+                     _marginal, _shaded_marginal, _shaded_utility, _utility,
                      _warn_saturated)
 from .solver import MODE_TRUE, MODES
 
@@ -94,18 +94,6 @@ class _Curves:
         """Warn once, at the verifier's caller, if the clamp engaged."""
         if np.any(-self.rates * self.q_min > _EXP_CLAMP):
             _warn_saturated(stacklevel=3)
-
-
-def _count(name: str, value, least: int) -> int:
-    """value as an int; DomainError unless it is an integer of at least least.
-
-    numpy integers count, bools do not, as for the prosumer index.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise DomainError(f"need at least {least} {name}, got {value}")
-    return int(value)
 
 
 def _first_argmax(blocks, starts=None) -> tuple[int, float]:

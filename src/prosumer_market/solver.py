@@ -21,15 +21,16 @@ Math. 1996). It is found by a fixed number of real Newton steps from a
 closed-form lower bound (Chatzigeorgiou, IEEE Commun. Lett. 2013) and one
 Newton step in q, or by the series at the branch point u = 1, the eq21
 threshold. The eta-independent terms (ln r, r*L, A(d_min), the shaded
-marginal's peak and, for the non-concave prosumers, S_mod(-s_max)) come
+marginal's peak and the non-concave prosumers' switch prices) come
 from a MarketStack, computed once per stack.
 
 Where a shaded curve is not concave over the whole interval, its rising
 stationary point is a local minimum of the Lagrangian, so only the capacity
-bound and the falling root (or q_upper) compete; the better wins, and the
-prosumer is flagged when the shaded curve is locally convex there. Excess
-demand, a sum of global argmaxes, is then still non-increasing in eta but
-can jump.
+bound and the falling root (or q_upper) compete. -s_max wins exactly above
+one price, the prosumer's switch price (MarketStack.log_switch, the slope
+of the tangent to S_mod from -s_max), and the prosumer is flagged when the
+shaded curve is locally convex at its maximizer. Excess demand, a sum of
+global argmaxes, is then still non-increasing in eta but can jump.
 
 One search serves every mode and regime: a safeguarded Newton search in
 x = ln(eta) (Palomar & Chiang, IEEE JSAC 2006, for the decomposition), with
@@ -40,13 +41,11 @@ never evaluated: excess demand is non-negative at its bottom and negative
 at its top. Where excess demand is smooth the search settles in a few
 evaluations; where it jumps across the balance point the bracket closes on
 the jump, and the solver returns the eta minimizing |excess| with its
-residual. The safeguard step is the bracket's midpoint, except where the
-evaluated bracket ends differ in the branch of exactly one non-concave
-prosumer: the step then goes to that prosumer's switch price, estimated by
-a Newton step on its Lagrangian gap between the falling root and -s_max,
-and probes off a bracket end by a doubling number of ulps once that
-estimate stalls there. A jump row then closes in about a dozen
-evaluations instead of bisecting ln(eta) down to adjacent floats.
+residual. The safeguard step is the bracket's midpoint, or the switch
+price nearest it where one lies inside the bracket: the step goes to
+ln(switch) or the float above it, the two x between which that prosumer
+changes branch, so a jump row closes on adjacent floats in about five
+evaluations instead of bisecting ln(eta) down to them.
 
 The search runs in lockstep over a stack of m markets that share the
 prosumers' betas (market.MarketStack: the points of a sweep, or one
@@ -78,8 +77,9 @@ import numpy as np
 from .conditions import _eq21_ok
 from .errors import BracketFailure, DomainError
 from .market import (Allocation, MarketConfig, MarketStack, _marginal,
-                     _saturates, _shaded_curvature, _shaded_marginal,
-                     _shaded_utility, _utility, _warn_saturated)
+                     _per_prosumer, _require_positive, _saturates,
+                     _shaded_curvature, _shaded_marginal, _utility,
+                     _warn_saturated)
 
 MODE_TRUE = "true"
 MODE_MODIFIED = "modified"
@@ -177,49 +177,33 @@ def _inverse_true(st: MarketStack, eta) -> np.ndarray:
     return np.clip(-np.log(eta / st.rates) / st.rates, st.q_lower, st.q_upper)
 
 
-def _inverse_modified(st: MarketStack, eta, log_eta):
+def _inverse_modified(st: MarketStack, x, log_eta):
     """Maximizer of S_mod(q) - eta*q per (market, prosumer), with flags.
 
-    eta and log_eta = ln(eta) are (m, 1) columns, one entry per market of
-    the stack st; floats stand for the columns of a stack of one. See
-    marginal_inverse_modified for the choice at a non-concave prosumer; the
-    flags mark maximizers where the shaded curve is locally convex. The
-    non-concave terms are evaluated at q_upper for the concave prosumers,
-    whose entries they do not decide. Returns the quantities, the flags and,
-    when st has a non-concave prosumer, its branches (else None): the (m, n)
-    mask of the prosumers that take -s_max over their falling root, the
-    clipped falling root and its Lagrangian value S_mod(q) - eta*q.
+    x is ln(eta) and log_eta is ln(exp(x)), as (m, 1) columns with one entry
+    per market of the stack st; floats stand for the columns of a stack of
+    one. A non-concave prosumer takes -s_max where x exceeds its
+    MarketStack.log_switch and its falling root, clipped to the bounds,
+    elsewhere (see marginal_inverse_modified). The flags mark maximizers
+    where the shaded curve is locally convex.
     """
-    L, lo, hi = st.lengths, st.q_lower, st.q_upper
-    q = np.clip(_shaded_root(st.rates, st.log_rates, st.rate_lengths, L,
-                             log_eta, log_eta + st.log_lengths + 1.0),
-                lo, hi)
+    q = np.clip(_shaded_root(st.rates, st.log_rates, st.rate_lengths,
+                             st.lengths, log_eta,
+                             log_eta + st.log_lengths + 1.0),
+                st.q_lower, st.q_upper)
     if not np.count_nonzero(st.non_concave):
-        return q, np.zeros(q.shape, dtype=bool), None
-    nc = st.non_concave
-    fall = np.where(nc, q, hi)
-    lagrangian_fall = _shaded_utility(
-        st.rates, st.offsets, L, st.d_min, fall, warn=False,
-        antideriv_dmin=st.antideriv_dmin) - eta * fall
-    dropped = nc & ~((eta <= st.peak_marginal)
-                     & (lagrangian_fall >= st.utility_lo - eta * lo))
-    q = np.where(dropped, lo, q)
+        return q, np.zeros(q.shape, dtype=bool)
+    q = np.where(x > st.log_switch, st.q_lower, q)
     # S_mod'' = (r*exp(-r*q)/L)*(1 - r*(q + L)) is positive exactly below
     # the eq21 threshold 1/r - L, which lies below every q of a concave
     # prosumer
-    return (q, ~_eq21_ok(q, st.thresholds),
-            (dropped, fall, lagrangian_fall))
-
-
-def _positive(eta: float) -> float:
-    if eta <= 0:
-        raise DomainError(f"eta must be positive, got {eta}")
-    return eta
+    return q, ~_eq21_ok(q, st.thresholds)
 
 
 def marginal_inverse_true(config: MarketConfig, eta: float) -> np.ndarray:
     """Per-prosumer q solving S'(q) = eta, clipped to [-s_max, q_upper]."""
-    return _inverse_true(config.stack, _positive(eta))[0]
+    _require_positive("eta", eta)
+    return _inverse_true(config.stack, eta)[0]
 
 
 def marginal_inverse_modified(config: MarketConfig,
@@ -232,12 +216,14 @@ def marginal_inverse_modified(config: MarketConfig,
     takes the falling root, clipped to the bounds. Otherwise the shaded
     marginal rises then falls. A stationary point on the rising branch is a
     local minimum of the Lagrangian, so only -s_max competes with the
-    clipped falling root: the root is kept where eta is at most the
-    marginal's peak on the interval and its Lagrangian value is at least
-    the one at -s_max (the larger q on ties), and -s_max is taken otherwise.
+    clipped falling root, and -s_max wins exactly above the prosumer's
+    switch price (MarketStack.log_switch): the slope of the tangent to
+    S_mod from -s_max that touches the falling branch, capped at the
+    marginal's peak. At the switch price itself the root is kept.
     """
-    q, flags, _ = _inverse_modified(config.stack, eta,
-                                    math.log(_positive(eta)))
+    _require_positive("eta", eta)
+    x = math.log(eta)
+    q, flags = _inverse_modified(config.stack, x, x)
     return q[0], flags[0]
 
 
@@ -269,7 +255,11 @@ def _bracket(st: MarketStack, mode: str) -> tuple[list, list, list]:
     the marginal at -s_max is not. Above the top every prosumer takes
     -s_max. Below the bottom every competitive q_i is positive and, unless
     the floor 1e-300 holds the bottom, every concave shaded prosumer takes
-    q_upper.
+    q_upper. Where every shaded curve is non-concave, the bottom comes down
+    to the largest reach, the lesser of a prosumer's marginal at q_upper
+    and its switch price (MarketStack.log_switch), divided by
+    _BRACKET_WIDEN; where every switch price is 0 the market has no
+    balancing price, and its error says so.
     """
     lo, hi, L = st.q_lower, st.q_upper, st.lengths
     shaded = mode == MODE_MODIFIED
@@ -289,20 +279,18 @@ def _bracket(st: MarketStack, mode: str) -> tuple[list, list, list]:
     every = shaded and st.non_concave.all(axis=1)
     if np.count_nonzero(every):
         # a non-concave prosumer takes q_upper exactly when eta is at most
-        # its reach, the lesser of its marginal at q_upper and its chord
-        # slope from -s_max, and -s_max at every eta above a reach that is
-        # its chord slope. One prosumer at q_upper balances the rest at
-        # -s_max, so excess demand is non-negative up to the largest reach
-        # and -N*s_max above it when that reach lies below the bracket. A
-        # prosumer whose chord slope is not positive prefers -s_max to
-        # every q at every price. Where the marginals at q_upper underflow,
-        # so can the reach; the bottom then stops at the least positive
-        # float.
-        s_upper = _shaded_utility(st.rates, st.offsets, L, st.d_min, hi,
-                                  warn=False, antideriv_dmin=st.antideriv_dmin)
-        chord = (s_upper - st.utility_lo) / (hi + st.s_max)
-        failed = every & (chord.max(axis=1) <= 0)
-        reach = np.minimum(m_upper, chord).max(axis=1)
+        # its reach, the lesser of its marginal at q_upper and its switch
+        # price, and -s_max above a switch price that lies below that
+        # marginal. One prosumer at q_upper balances the rest at -s_max, so
+        # excess demand is non-negative up to the largest reach and
+        # -N*s_max above it when that reach lies below the bracket. A
+        # prosumer whose switch price is 0 prefers -s_max to every q at
+        # every price. Where the marginals at q_upper underflow, so can the
+        # reach; the bottom then stops at the least positive float.
+        with np.errstate(over="ignore"):
+            switch = np.exp(st.log_switch)
+        failed = every & (switch.max(axis=1) <= 0)
+        reach = np.minimum(m_upper, switch).max(axis=1)
         eta_lo = np.where(every & ~failed & (reach < eta_lo),
                           np.maximum(reach / _BRACKET_WIDEN, math.ulp(0.0)),
                           eta_lo)
@@ -316,49 +304,20 @@ def _bracket(st: MarketStack, mode: str) -> tuple[list, list, list]:
     return eta_lo.tolist(), eta_hi.tolist(), errors
 
 
-def _switch_price(st: MarketStack, j: int, low, high) -> float:
-    """Newton estimate of the price where one prosumer jumps to -s_max.
+def _safeguard(log_switch: np.ndarray, a: float, b: float,
+               mid: float) -> float:
+    """The safeguard step inside the bracket (a, b) of one market's search.
 
-    low and high are (q, branches, row, eta) of the evaluations at a
-    market's bracket ends: the quantities and branches that
-    _inverse_modified returned and the market's row among them; j is its
-    row in st. When the ends differ in which prosumers sit at -s_max by
-    exactly one prosumer i, on its falling root at the low end and switched
-    to -s_max at the high end, its Lagrangian gap
-
-        g(eta) = [S_mod(q_fall) - eta*q_fall] - [S_mod(-s_max) + eta*s_max]
-
-    is convex and decreasing in eta, with slope -(q_fall + s_max), so one
-    Newton step from the low end lands at or below its switch price, the
-    root of g capped at i's peak_marginal. Returns that estimate, or nan
-    when the ends differ otherwise; an S_mod(-s_max) beyond the float range
-    gives -inf.
+    The candidates are each prosumer's log_switch, the last x at which it
+    keeps its falling root, and the float above it, the first at which it
+    takes -s_max: excess demand can jump only between the two. Returns the
+    candidate strictly inside the bracket nearest its midpoint mid, or mid
+    when there is none, so that a bracket around a jump closes on its
+    adjacent floats.
     """
-    q, (_, fall, lagrangian), row, eta = low
-    q_high, (dropped, _, _), row_high, _ = high
-    lo = st.q_lower[j]
-    changed = np.flatnonzero((q[row] == lo) != (q_high[row_high] == lo))
-    if changed.size != 1 or not dropped[row_high, changed[0]]:
-        return math.nan
-    i = int(changed[0])
-    lo_i = float(lo[i])
-    gap = float(lagrangian[row, i]) - (float(st.utility_lo[j, i]) - eta * lo_i)
-    return min(eta + gap / (float(fall[row, i]) - lo_i),
-               float(st.peak_marginal[j, i]))
-
-
-def _probe(x: float, a: float, b: float, width: int) -> tuple[float, int]:
-    """A switch estimate x in ln(eta), moved off the bracket end it stalls on.
-
-    An estimate within width ulps of a (or b) is moved to width ulps above a
-    (below b) and the next width doubles; any other estimate stands and the
-    next width is 1.
-    """
-    if x - a < width * math.ulp(a):
-        return a + width * math.ulp(a), 2 * width
-    if b - x < width * math.ulp(b):
-        return b - width * math.ulp(b), 2 * width
-    return x, 1
+    c = np.concatenate((log_switch, np.nextafter(log_switch, math.inf)))
+    c = c[(a < c) & (c < b)]
+    return float(c[np.argmin(np.abs(c - mid))]) if c.size else mid
 
 
 class _Batch(NamedTuple):
@@ -398,18 +357,15 @@ def _solve_stack(st: MarketStack, mode: str) -> _Batch:
     x is -sum 1/r_i (true) or sum eta/S_mod''(q_i) (shaded) over the
     prosumers strictly inside their bounds. Where a Newton step would leave
     the bracket or the slope is not negative, the search takes a safeguard
-    step: the bracket's midpoint, unless its two evaluated ends differ in
-    which prosumers sit at -s_max by exactly one non-concave prosumer, on its
-    falling root at the low end and switched to -s_max at the high end.
-    Excess demand then jumps at that prosumer's switch price, and the step
-    goes to one Newton estimate of it (_switch_price). An estimate that
-    stalls within a few ulps of an end probes off that end by 1, 2, 4, ...
-    ulps instead (_probe), so the bracket closes on the float pair around
-    the jump. A market settles once |sum q| is within the rounding floor
-    of the sum, one evaluation after a Newton step below _NEWTON_XTOL
-    inside the bracket, when such a step lands on an end, when the midpoint
-    is no longer inside the bracket (it has closed on a jump), or after
-    _MAX_STEPS evaluations.
+    step (_safeguard): the bracket's midpoint, unless a non-concave
+    prosumer's MarketStack.log_switch or the float above it lies strictly
+    inside the bracket. Excess demand can jump only between those two
+    floats, so the step goes to the one of them nearest the midpoint, and a
+    bracket around a jump closes on its adjacent floats. A market settles once
+    |sum q| is within the rounding floor of the sum, one evaluation after a
+    Newton step below _NEWTON_XTOL inside the bracket, when such a step lands
+    on an end, when the midpoint is no longer inside the bracket (it has closed
+    on a jump), or after _MAX_STEPS evaluations.
 
     Each pass evaluates every market still searching with one numpy call
     per kernel, writes each market's evaluation into the result when it
@@ -425,9 +381,8 @@ def _solve_stack(st: MarketStack, mode: str) -> _Batch:
     x = [x0 if lo < x0 < hi else 0.5 * (lo + hi)
          for x0, lo, hi in zip(st.log_price0.tolist(), a, b)]
     last = [False] * m
-    # per market, the branches of its evaluations at a and at b, and the
-    # ulps by which a stalled switch estimate probes off a bracket end
-    lows, highs, probes = [None] * m, [None] * m, [1] * m
+    # whether a safeguard step can meet a switch price
+    switches = shaded and bool(np.count_nonzero(st.non_concave))
     iterations = [0] * m
     quantities = np.full((m, n), np.nan)
     flags = np.zeros((m, n), dtype=bool)
@@ -439,13 +394,12 @@ def _solve_stack(st: MarketStack, mode: str) -> _Batch:
     while active and passes < _MAX_STEPS:
         passes += 1
         etas = [math.exp(x[k]) for k in active]
-        eta = np.array(etas)[:, None]
-        branches = None
         if shaded:
-            q, convex, branches = _inverse_modified(
-                st, eta, np.array([math.log(v) for v in etas])[:, None])
+            q, convex = _inverse_modified(
+                st, np.array([x[k] for k in active])[:, None],
+                np.array([math.log(v) for v in etas])[:, None])
         else:
-            q = _inverse_true(st, eta)
+            q = _inverse_true(st, np.array(etas)[:, None])
         sums = q.sum(axis=1).tolist()
         scales = np.abs(q).sum(axis=1).tolist()
         settled, going = [], []
@@ -461,12 +415,8 @@ def _solve_stack(st: MarketStack, mode: str) -> _Batch:
             going.append(j)
             if e > 0:
                 a[k] = x[k]
-                if branches is not None:
-                    lows[k] = (q, branches, j, etas[j])
             else:
                 b[k] = x[k]
-                if branches is not None:
-                    highs[k] = (q, branches, j, etas[j])
         if going:
             free = (q > st.q_lower) & (q < st.q_upper)
             slopes = _slopes(st, q, free, shaded)
@@ -486,13 +436,8 @@ def _solve_stack(st: MarketStack, mode: str) -> _Batch:
                 x[k] = 0.5 * (a[k] + b[k])
                 if not a[k] < x[k] < b[k]:
                     settled.append(j)
-                elif lows[k] and highs[k]:
-                    eta_s = _switch_price(st, j, lows[k], highs[k])
-                    if 0.0 < eta_s < math.inf:
-                        xs, probes[k] = _probe(math.log(eta_s), a[k], b[k],
-                                               probes[k])
-                        if a[k] < xs < b[k]:
-                            x[k] = xs
+                elif switches:
+                    x[k] = _safeguard(st.log_switch[j], a[k], b[k], x[k])
         if settled:
             kept = sorted(set(range(len(active))) - set(settled))
             active = [active[j] for j in kept]
@@ -582,8 +527,7 @@ def _welfares(st: MarketStack, q: np.ndarray, warn: bool = False):
 
 def welfare(config: MarketConfig, quantities) -> float:
     """True aggregate welfare sum_i S_i(q_i); may legitimately be negative."""
-    q = np.asarray(quantities, dtype=float)
-    if q.shape != (config.n_prosumers,):
-        raise DomainError(
-            f"expected {config.n_prosumers} quantities, got shape {q.shape}")
+    q = _per_prosumer(config, quantities, "quantities")
+    if not np.isfinite(q).all():
+        raise DomainError(f"quantities must be finite, got {q.tolist()}")
     return float(_welfares(config.stack, q[None], warn=True)[0])

@@ -1,11 +1,13 @@
 """Tests for the existence/uniqueness condition checks."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prosumer_market import (
     MODE_MODIFIED,
+    DomainError,
     MarketConfig,
     case_study_spec,
     check_eq15,
@@ -56,6 +58,22 @@ class TestEq15:
         assert np.all(thetas <= upper)
         # right bound: rival sum with the epsilon margin
         np.testing.assert_allclose(upper, 10 * mu * cfg.d_min - cfg.eps_price)
+
+
+class TestProfileLength:
+    def test_wrong_length_is_a_domain_error(self):
+        cfg = uniform_beta_config(2.5, 4.0, 3)
+        short, right = np.full(2, -0.5), np.full(3, -0.5)
+        with pytest.raises(DomainError, match="expected 3 bids"):
+            check_eq15(short, cfg)
+        with pytest.raises(DomainError, match="expected 3 bids"):
+            eq15_bounds(np.full(1, -0.5), cfg)
+        with pytest.raises(DomainError, match="expected 3 quantities"):
+            check_eq21(np.zeros(4), cfg)
+        with pytest.raises(DomainError, match="expected 3 bids"):
+            evaluate_conditions(cfg, short, np.zeros(3))
+        with pytest.raises(DomainError, match="expected 3 quantities"):
+            evaluate_conditions(cfg, right, np.zeros(2))
 
 
 class TestEq18Eq21:

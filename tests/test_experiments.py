@@ -68,6 +68,13 @@ class TestSweepSpec:
             SweepSpec("s_max", 1.0, 1.0, 5, base)
         with pytest.raises(DomainError):
             SweepSpec("s_max", -0.1, 1.0, 5, base)
+        # steps follow the integer rule of the verifiers' grid sizes
+        for steps in (30.0, 2.5, True, np.float64(5.0)):
+            with pytest.raises(DomainError, match="must be an integer"):
+                SweepSpec("s_max", 0.1, 1.0, steps, base)
+        with pytest.raises(DomainError, match="must be an integer"):
+            case_study_spec("capacity_bounded", steps=2.5)
+        assert SweepSpec("s_max", 0.1, 1.0, np.int64(5), base).steps == 5
 
     def test_unknown_panel(self):
         with pytest.raises(DomainError):

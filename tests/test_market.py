@@ -320,11 +320,12 @@ class TestMarketStack:
         assert kinds == {"concave", "interior", "upper"}
 
     def test_steep_capacity_utility_builds_without_warnings(self):
-        # r*s_max = 2e8: the clamped S_mod(-s_max) leaves the float range
+        # r*s_max = 2e8: the clamped S_mod(-s_max) leaves the float range,
+        # and -s_max wins at every price
         cfg = MarketConfig(2, 1.0, 1e5, (1e4, 1e4))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             stack = cfg.stack
-        assert np.isinf(stack.utility_lo).all()
+        assert (stack.log_switch == -np.inf).all()
         with pytest.raises(BracketFailure):
             solve_dual(cfg, "modified")

@@ -65,8 +65,11 @@ class TestMarginalInverseTrue:
                                    rtol=1e-14)
 
     def test_eta_must_be_positive(self):
-        with pytest.raises(DomainError):
-            marginal_inverse_true(symmetric_config(n=2), 0.0)
+        cfg = symmetric_config(n=2)
+        for inverse in (marginal_inverse_true, marginal_inverse_modified):
+            for eta in (0.0, -1.0, math.nan, math.inf):
+                with pytest.raises(DomainError, match="eta must be positive"):
+                    inverse(cfg, eta)
 
 
 class TestMarginalInverseModified:
@@ -318,6 +321,9 @@ class TestTwoCandidateInverse:
                 if kind == "switch":
                     # -s_max above the switch price, the falling side below
                     assert (q[i] == lo) == (eta > switch)
+            if switch is not None:
+                assert math.exp(cfg.stack.log_switch[0, i]) == pytest.approx(
+                    switch, rel=1e-12)
         assert seen["below_lo"] >= 3 and seen["switch"] >= 10
         assert seen["above_peak"] == 10
 
@@ -497,7 +503,8 @@ class TestSolveDual:
         # every solve searches ln(eta) by Newton steps, so balanced solves
         # take few evaluations; the one unbalanced case-study row stops once
         # its bracket closes on the jump (200 evaluations without that stop),
-        # which the switch step finds in 11 (48 by bisection)
+        # which stepping to the switch price and the float above it finds
+        # in 5 (48 by bisection)
         assert solve_dual(symmetric_config(), MODE_TRUE).iterations >= 1
         gap_rows = []
         for panel in PANELS:
@@ -510,7 +517,7 @@ class TestSolveDual:
                         assert res.iterations <= 12, (panel, value, mode)
                     else:
                         gap_rows.append((panel, float(value), mode))
-                        assert res.iterations <= 16, (panel, value, mode)
+                        assert res.iterations <= 12, (panel, value, mode)
         assert gap_rows == [("capacity_unbounded", 4.5, MODE_MODIFIED)]
 
     @pytest.mark.parametrize("mode", [MODE_TRUE, MODE_MODIFIED])
@@ -810,7 +817,8 @@ class TestSwitchStep:
 
     def test_random_jump_rows_take_few_evaluations(self):
         # bisecting every safeguard step took 55 evaluations per unbalanced
-        # solve on average here, and up to 65
+        # solve on average here, and up to 65; stepping to the switch
+        # prices takes about 5.4, and at most 9
         rng = np.random.default_rng(2026)
         counts = []
         for _ in range(400):
@@ -822,7 +830,7 @@ class TestSwitchStep:
             if res.converged:
                 continue
             counts.append(res.iterations)
-            assert res.iterations <= 64
+            assert res.iterations <= 12
             # excess demand changes sign within a few floats of eta past the
             # price: the bracket still closes on adjacent floats of ln(eta),
             # which lie several floats of eta apart where |ln(eta)| > 1.
@@ -837,26 +845,24 @@ class TestSwitchStep:
             else:
                 pytest.fail(f"no sign change near {res.price!r} for {cfg}")
         assert len(counts) >= 80
-        assert sum(counts) / len(counts) <= 20
+        assert sum(counts) / len(counts) <= 8
 
-    def test_estimate_from_bracket_ends(self):
-        # the case-study gap row jumps where prosumer 2 switches to -s_max
+    def test_excess_is_monotone_at_the_jump(self):
+        # the case-study gap row jumps where prosumer 2 switches to -s_max;
+        # one comparison of ln(eta) with its switch keeps excess demand
+        # non-increasing float by float across the jump
         cfg = case_study_spec("capacity_unbounded", steps=30).config_at(4.5)
-        st = cfg.stack
-        ends = []
-        for eta in (0.18, 0.19):
-            q, _, branches = solver._inverse_modified(st, eta, math.log(eta))
-            ends.append((q, branches, 0, eta))
-        estimate = solver._switch_price(st, 0, *ends)
-        assert 0.18 < estimate <= 0.18186706717583
-        # with S_mod(-s_max) out of the float range there is no estimate
-        # inside the bracket, so the search takes the midpoint
-        inf_lo = st._replace(utility_lo=np.full_like(st.utility_lo, np.inf))
-        assert not 0.18 < solver._switch_price(inf_lo, 0, *ends) < 0.19
-        # two prosumers that switch between the ends give no estimate
-        q, _, branches = solver._inverse_modified(st, 1.0, 0.0)
-        assert math.isnan(solver._switch_price(st, 0, ends[0],
-                                               (q, branches, 0, 1.0)))
+        res = solve_dual(cfg, MODE_MODIFIED)
+        x = math.log(res.price)
+        for _ in range(20):
+            x = math.nextafter(x, -math.inf)
+        sums = []
+        for _ in range(41):
+            sums.append(float(marginal_inverse_modified(cfg, math.exp(x))[0]
+                              .sum()))
+            x = math.nextafter(x, math.inf)
+        assert all(b <= a for a, b in zip(sums, sums[1:]))
+        assert sums[0] > 0 > sums[-1]
 
 
 class TestRecoverBids:
@@ -904,6 +910,14 @@ class TestWelfare:
         with pytest.raises(DomainError):
             welfare(cfg, np.zeros(4))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_quantities(self, bad):
+        cfg = symmetric_config(n=3, beta=1.0, d_min=1.0, s_max=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="must be finite"):
+                welfare(cfg, [bad, 0.0, 0.0])
+
 
 class TestOnDemandBracket:
     """The closed-form bracket is a sign bracket whose ends are never evaluated."""
@@ -912,16 +926,18 @@ class TestOnDemandBracket:
     def etas(self, monkeypatch):
         """Every evaluated eta, keyed by the (d_min, s_max) of its market."""
         seen = collections.defaultdict(list)
-        for name in ("_inverse_true", "_inverse_modified"):
+        # _inverse_true takes eta, _inverse_modified x = ln(eta) first
+        for name, to_eta in (("_inverse_true", np.asarray),
+                             ("_inverse_modified", np.exp)):
             inverse = getattr(solver, name)
 
-            def counted(stack, eta, *args, inverse=inverse):
-                # eta is an (m, 1) column, or a float for a stack of one
+            def counted(stack, arg, *args, inverse=inverse, to_eta=to_eta):
+                # arg is an (m, 1) column, or a float for a stack of one
                 for key in zip(stack.d_min[:, 0].tolist(),
                                stack.s_max[:, 0].tolist(),
-                               np.ravel(eta).tolist()):
+                               np.ravel(to_eta(arg)).tolist()):
                     seen[key[:2]].append(key[2])
-                return inverse(stack, eta, *args)
+                return inverse(stack, arg, *args)
 
             monkeypatch.setattr(solver, name, counted)
         return seen
