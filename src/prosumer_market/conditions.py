@@ -25,8 +25,8 @@ used consistently here, in reports and in the sweep CSVs:
           (r*exp(-r*q)/L) * (1 - r*(q + L)) <= 0, which holds exactly at
           and above the eq21 threshold.
 
-_eq21_ok is the one threshold comparison: check_eq21 applies it to one
-market, the solver's non-concave flags and the sweep rows to a stack of
+_eq21_ok is the one threshold comparison: check_eq21 and the solver's
+non-concave prosumers apply it to one market, the sweep rows to a stack of
 markets. Reports carry eq18 and eq36 under their own names, read from the
 eq21 flags.
 

@@ -23,15 +23,14 @@ Four canonical 11-prosumer panels ship with the package:
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .conditions import ConditionReport, _eq21_ok, evaluate_conditions
 from .errors import ConfigError, DomainError
-from .market import (MarketConfig, MarketStack, _count, _saturates,
-                     _warn_saturated, market_stack)
+from .market import (MarketConfig, MarketStack, _count, _require_positive,
+                     _saturates, _warn_saturated, market_stack)
 from .solver import (MODE_MODIFIED, MODE_TRUE, SolveResult, _solve_stack,
                      _welfares, solve_dual)
 
@@ -76,12 +75,10 @@ class SweepSpec:
         if self.steps > MAX_SWEEP_STEPS:
             raise DomainError(
                 f"steps must be at most {MAX_SWEEP_STEPS}, got {self.steps}")
-        if not all(map(math.isfinite, (self.start, self.stop))):
-            raise DomainError("start and stop must be finite")
+        _require_positive("start", self.start)
+        _require_positive("stop", self.stop)
         if self.start == self.stop:
             raise DomainError("start and stop must differ")
-        if min(self.start, self.stop) <= 0:
-            raise DomainError("swept values must stay positive")
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.steps)
@@ -156,14 +153,14 @@ def _sweep_rows(spec: SweepSpec, values: np.ndarray, st: MarketStack,
     """One row per sweep point from the stacked solves of both programs.
 
     The welfares and eq21 flags come from the stacked forms of
-    solver.welfare and conditions.check_eq21. A point whose solve failed
-    gets the failure's message and nan values.
+    solver.welfare and conditions.check_eq21; a point is non-concave
+    exactly when it violates eq21, as solve_dual reads it. A point whose
+    solve failed gets the failure's message and nan values.
     """
     welfare_c = _welfares(st, competitive.quantities).tolist()
     welfare_n = _welfares(st, nash.quantities).tolist()
     violations = np.count_nonzero(~_eq21_ok(nash.quantities, st.thresholds),
                                   axis=1).tolist()
-    non_concave = nash.flags.any(axis=1).tolist()
     n, nan, rows = spec.base_config.n_prosumers, float("nan"), []
     for k, value in enumerate(values.tolist()):
         error = competitive.errors[k] or nash.errors[k]
@@ -178,7 +175,7 @@ def _sweep_rows(spec: SweepSpec, values: np.ndarray, st: MarketStack,
             welfare_nash=welfare_n[k],
             welfare_loss=welfare_c[k] - welfare_n[k],
             eq21_violations=violations[k],
-            non_concave_flag=non_concave[k],
+            non_concave_flag=violations[k] > 0,
             price_competitive=competitive.prices[k],
             price_nash=nash.prices[k],
         ))
@@ -287,7 +284,11 @@ def _number(value, key: str) -> float:
     # bool is an int subclass; JSON true/false are not numbers here
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{key} must be finite, got an integer beyond "
+                          "the float range") from None
 
 
 def _integer(value, key: str) -> int:
@@ -311,10 +312,10 @@ def load_config_file(path) -> tuple[MarketConfig, SweepSpec | None]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 ({exc})") from exc
+    except ValueError as exc:  # also an integer beyond int's digit limit
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     _reject_unknown(raw, _TOP_LEVEL_KEYS, str(path))

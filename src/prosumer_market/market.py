@@ -54,8 +54,14 @@ def _warn_saturated(stacklevel: int) -> None:
 
 
 def _require_positive(name: str, value) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise DomainError(f"{name} must be positive and finite, got {value}")
+    """DomainError unless value is a positive finite int or float.
+
+    numpy numbers count, bools do not, as for _count.
+    """
+    if (isinstance(value, bool)
+            or not isinstance(value, (int, float, np.integer, np.floating))
+            or not (math.isfinite(value) and value > 0)):
+        raise DomainError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _count(name: str, value, least: int) -> int:
@@ -115,17 +121,11 @@ def _antideriv(r, offset, q, warn: bool = True):
     return offset * q + _decay(r, q, warn) / r
 
 
-def _shaded_utility(r, offset, L: float, d_min: float, q, warn: bool = True,
-                    antideriv_dmin=None):
-    """S_mod(q) = (1 + q/L)*S(q) - (A(q) - A(d_min))/L.
-
-    antideriv_dmin, when given, is A(d_min) computed once for r and offset.
-    """
+def _shaded_utility(r, offset, L: float, d_min: float, q, warn: bool = True):
+    """S_mod(q) = (1 + q/L)*S(q) - (A(q) - A(d_min))/L."""
     q = np.asarray(q, dtype=float)
     e = _decay(r, q, warn)
-    if antideriv_dmin is None:
-        antideriv_dmin = _antideriv(r, offset, d_min, warn)
-    integral = (offset * q + e / r) - antideriv_dmin
+    integral = (offset * q + e / r) - _antideriv(r, offset, d_min, warn)
     return (1.0 + q / L) * (offset - e) - integral / L
 
 
@@ -179,7 +179,6 @@ class MarketStack(NamedTuple):
     offsets: np.ndarray  # exp(-beta/5)
     thresholds: np.ndarray  # eq21 threshold 5*d_min/beta - L
     non_concave: np.ndarray  # threshold above -s_max
-    antideriv_dmin: np.ndarray  # A(d_min)
     peak_marginal: np.ndarray  # S_mod' at the threshold clipped to the bounds
     log_switch: np.ndarray  # ln of the price where -s_max takes over
 
@@ -280,7 +279,6 @@ def market_stack(betas, d_min, s_max) -> MarketStack:
     offsets = full(np.exp(-b / 5.0))
     thresholds = 5.0 * d / b - (n - 1) * d
     nc = thresholds > lo
-    a_dmin = _antideriv(rates, offsets, d, warn=False)
     # where the exponent clamp engages at a steep prosumer, the shaded
     # marginal's peak can exceed the float range: it then reads inf, above
     # every price. The shaded marginal rises below the eq21 threshold and
@@ -298,7 +296,7 @@ def market_stack(betas, d_min, s_max) -> MarketStack:
     log_lengths = np.log(L[:, :1])
     return MarketStack(*map(_frozen, (
         d, s, log_lengths, log_price0, lo, hi, L, rates, log_rates,
-        inv_rates, rates * L, offsets, thresholds, nc, a_dmin, peak_marginal,
+        inv_rates, rates * L, offsets, thresholds, nc, peak_marginal,
         log_switch)))
 
 
@@ -355,12 +353,14 @@ class MarketConfig:
     tol_kkt: float = 1e-8
 
     def __post_init__(self):
-        if self.n_prosumers < 2:
-            raise DomainError(
-                f"need at least 2 prosumers, got {self.n_prosumers}")
+        object.__setattr__(self, "n_prosumers",
+                           _count("prosumers", self.n_prosumers, 2))
         _require_positive("d_min", self.d_min)
         _require_positive("s_max", self.s_max)
-        betas = np.asarray(self.betas, dtype=float)
+        betas = np.asarray(self.betas)
+        if betas.dtype.kind not in "iuf":
+            raise DomainError(f"betas must be numbers, got {self.betas!r}")
+        betas = betas.astype(float, copy=False)
         if betas.shape != (self.n_prosumers,):
             raise DomainError(
                 f"expected {self.n_prosumers} betas, got shape {betas.shape}")

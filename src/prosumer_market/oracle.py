@@ -34,9 +34,8 @@ import numpy as np
 
 from .errors import DomainError, TooLarge, UnboundedPayoff
 from .market import (_EXP_CLAMP, Allocation, MarketConfig, _count,
-                     _marginal, _shaded_marginal, _shaded_utility, _utility,
-                     _warn_saturated)
-from .solver import MODE_TRUE, MODES
+                     _shaded_utility, _utility, _warn_saturated)
+from .solver import MODE_TRUE, MODES, _marginals
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # caps the best-response grid and the brute-force grid over all free
@@ -78,7 +77,6 @@ class _Curves:
         if self.shaded:
             self.d_min = config.d_min
             self.length = float(config.stack.lengths[0, 0])
-            self.antideriv_dmin = config.stack.antideriv_dmin[0]
 
     def __call__(self, i: int, q):
         """Curve i at q, recording the lowest q it reads."""
@@ -87,8 +85,7 @@ class _Curves:
         if not self.shaded:
             return _utility(r, offset, q, warn=False)
         return _shaded_utility(r, offset, self.length, self.d_min, q,
-                               warn=False,
-                               antideriv_dmin=self.antideriv_dmin[i])
+                               warn=False)
 
     def warn(self) -> None:
         """Warn once, at the verifier's caller, if the clamp engaged."""
@@ -442,15 +439,6 @@ def brute_force_program(config: MarketConfig, mode: str,
                 lo[j], hi[j] = hi_full - 2 * half, hi_full
     curves.warn()
     return _certify(config, mode, point)
-
-
-def _marginals(config: MarketConfig, mode: str, q) -> np.ndarray:
-    """Every prosumer's marginal curve at q, without a warning: q comes
-    from the grid scan, which issues the call's one SaturationWarning."""
-    if mode == MODE_TRUE:
-        return _marginal(config.rates, q, warn=False)
-    return _shaded_marginal(config.rates, float(config.stack.lengths[0, 0]),
-                            q, warn=False)
 
 
 def _certify(config: MarketConfig, mode: str, quantities) -> Allocation:

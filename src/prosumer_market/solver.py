@@ -20,17 +20,18 @@ u >= 1 is -W_{-1}(-exp(-sigma - 1)) (Lambert W; Corless et al., Adv. Comput.
 Math. 1996). It is found by a fixed number of real Newton steps from a
 closed-form lower bound (Chatzigeorgiou, IEEE Commun. Lett. 2013) and one
 Newton step in q, or by the series at the branch point u = 1, the eq21
-threshold. The eta-independent terms (ln r, r*L, A(d_min), the shaded
-marginal's peak and the non-concave prosumers' switch prices) come
-from a MarketStack, computed once per stack.
+threshold. The eta-independent terms (ln r, r*L, the shaded marginal's
+peak and the non-concave prosumers' switch prices) come from a
+MarketStack, computed once per stack.
 
 Where a shaded curve is not concave over the whole interval, its rising
 stationary point is a local minimum of the Lagrangian, so only the capacity
 bound and the falling root (or q_upper) compete. -s_max wins exactly above
 one price, the prosumer's switch price (MarketStack.log_switch, the slope
-of the tangent to S_mod from -s_max), and the prosumer is flagged when the
-shaded curve is locally convex at its maximizer. Excess demand, a sum of
-global argmaxes, is then still non-increasing in eta but can jump.
+of the tangent to S_mod from -s_max). Excess demand, a sum of global
+argmaxes, is then still non-increasing in eta but can jump. The prosumers
+whose maximizer lies below its eq21 threshold, where the shaded curve is
+locally convex, are read from the returned quantities.
 
 One search serves every mode and regime: a safeguarded Newton search in
 x = ln(eta) (Palomar & Chiang, IEEE JSAC 2006, for the decomposition), with
@@ -177,27 +178,22 @@ def _inverse_true(st: MarketStack, eta) -> np.ndarray:
     return np.clip(-np.log(eta / st.rates) / st.rates, st.q_lower, st.q_upper)
 
 
-def _inverse_modified(st: MarketStack, x, log_eta):
-    """Maximizer of S_mod(q) - eta*q per (market, prosumer), with flags.
+def _inverse_modified(st: MarketStack, x, log_eta) -> np.ndarray:
+    """Maximizer of S_mod(q) - eta*q per (market, prosumer).
 
     x is ln(eta) and log_eta is ln(exp(x)), as (m, 1) columns with one entry
     per market of the stack st; floats stand for the columns of a stack of
     one. A non-concave prosumer takes -s_max where x exceeds its
     MarketStack.log_switch and its falling root, clipped to the bounds,
-    elsewhere (see marginal_inverse_modified). The flags mark maximizers
-    where the shaded curve is locally convex.
+    elsewhere (see marginal_inverse_modified).
     """
     q = np.clip(_shaded_root(st.rates, st.log_rates, st.rate_lengths,
                              st.lengths, log_eta,
                              log_eta + st.log_lengths + 1.0),
                 st.q_lower, st.q_upper)
     if not np.count_nonzero(st.non_concave):
-        return q, np.zeros(q.shape, dtype=bool)
-    q = np.where(x > st.log_switch, st.q_lower, q)
-    # S_mod'' = (r*exp(-r*q)/L)*(1 - r*(q + L)) is positive exactly below
-    # the eq21 threshold 1/r - L, which lies below every q of a concave
-    # prosumer
-    return q, ~_eq21_ok(q, st.thresholds)
+        return q
+    return np.where(x > st.log_switch, st.q_lower, q)
 
 
 def marginal_inverse_true(config: MarketConfig, eta: float) -> np.ndarray:
@@ -211,20 +207,22 @@ def marginal_inverse_modified(config: MarketConfig,
     """Per-prosumer maximizer of S_mod(q) - eta*q over [-s_max, q_upper].
 
     Returns the quantities and a mask of the prosumers whose maximizer sits
-    where the shaded curve is locally convex. A prosumer whose shaded curve
-    is concave on the whole interval (eq21 threshold at or below -s_max)
-    takes the falling root, clipped to the bounds. Otherwise the shaded
-    marginal rises then falls. A stationary point on the rising branch is a
-    local minimum of the Lagrangian, so only -s_max competes with the
-    clipped falling root, and -s_max wins exactly above the prosumer's
-    switch price (MarketStack.log_switch): the slope of the tangent to
-    S_mod from -s_max that touches the falling branch, capped at the
-    marginal's peak. At the switch price itself the root is kept.
+    below the eq21 threshold 1/r - L, where S_mod'' = (r*exp(-r*q)/L)*(1 -
+    r*(q + L)) is positive and the shaded curve locally convex. A prosumer
+    whose shaded curve is concave on the whole interval (eq21 threshold at
+    or below -s_max) takes the falling root, clipped to the bounds, and is
+    never in the mask. Otherwise the shaded marginal rises then falls. A
+    stationary point on the rising branch is a local minimum of the
+    Lagrangian, so only -s_max competes with the clipped falling root, and
+    -s_max wins exactly above the prosumer's switch price
+    (MarketStack.log_switch): the slope of the tangent to S_mod from -s_max
+    that touches the falling branch, capped at the marginal's peak. At the
+    switch price itself the root is kept.
     """
     _require_positive("eta", eta)
     x = math.log(eta)
-    q, flags = _inverse_modified(config.stack, x, x)
-    return q[0], flags[0]
+    q = _inverse_modified(config.stack, x, x)[0]
+    return q, ~_eq21_ok(q, config.concavity_thresholds)
 
 
 def _slopes(st: MarketStack, q: np.ndarray, free: np.ndarray,
@@ -323,17 +321,15 @@ def _safeguard(log_switch: np.ndarray, a: float, b: float,
 class _Batch(NamedTuple):
     """The dual searches of every market of a stack in one mode.
 
-    Row k of the (m, n) arrays quantities and flags holds market k's
-    quantities and flags at its evaluation of least |sum q|; prices and
-    totals list each market's price and total (sum q) there, iterations its
-    number of excess evaluations, and errors the BracketFailure text of a
-    market that has no balancing price (whose quantities, price and total
-    are nan and flags False), else None. passes counts the lockstep
-    evaluations of the whole stack.
+    Row k of the (m, n) array quantities holds market k's quantities at its
+    evaluation of least |sum q|; prices and totals list each market's price
+    and total (sum q) there, iterations its number of excess evaluations,
+    and errors the BracketFailure text of a market that has no balancing
+    price (whose quantities, price and total are nan), else None. passes
+    counts the lockstep evaluations of the whole stack.
     """
 
     quantities: np.ndarray
-    flags: np.ndarray
     prices: list
     totals: list
     iterations: list
@@ -385,7 +381,6 @@ def _solve_stack(st: MarketStack, mode: str) -> _Batch:
     switches = shaded and bool(np.count_nonzero(st.non_concave))
     iterations = [0] * m
     quantities = np.full((m, n), np.nan)
-    flags = np.zeros((m, n), dtype=bool)
     prices, totals = [math.nan] * m, [math.nan] * m
     active = [k for k in range(m) if errors[k] is None]
     if len(active) < m:
@@ -395,7 +390,7 @@ def _solve_stack(st: MarketStack, mode: str) -> _Batch:
         passes += 1
         etas = [math.exp(x[k]) for k in active]
         if shaded:
-            q, convex = _inverse_modified(
+            q = _inverse_modified(
                 st, np.array([x[k] for k in active])[:, None],
                 np.array([math.log(v) for v in etas])[:, None])
         else:
@@ -407,8 +402,6 @@ def _solve_stack(st: MarketStack, mode: str) -> _Batch:
             iterations[k] += 1
             if iterations[k] == 1 or abs(e) < abs(totals[k]):
                 quantities[k], prices[k], totals[k] = q[j], etas[j], e
-                if shaded:
-                    flags[k] = convex[j]
             if last[k] or abs(e) <= _SUM_ROUNDING * scales[j]:
                 settled.append(j)
                 continue
@@ -443,8 +436,7 @@ def _solve_stack(st: MarketStack, mode: str) -> _Batch:
             active = [active[j] for j in kept]
             if active:
                 st = _restack(st, kept)
-    return _Batch(quantities, flags, prices, totals, iterations, errors,
-                  passes)
+    return _Batch(quantities, prices, totals, iterations, errors, passes)
 
 
 def solve_dual(config: MarketConfig, mode: str) -> SolveResult:
@@ -473,17 +465,10 @@ def solve_dual(config: MarketConfig, mode: str) -> SolveResult:
     batch = _solve_stack(config.stack, mode)
     if batch.errors[0] is not None:
         raise BracketFailure(batch.errors[0])
-    qs, flags = batch.quantities[0], batch.flags[0]
+    qs = batch.quantities[0]
     eta, total = batch.prices[0], batch.totals[0]
     s_max, q_upper = config.s_max, config.q_upper
-    rates = config.rates
-    # a steep prosumer at -s_max can have a marginal beyond the float range
-    with np.errstate(over="ignore"):
-        if mode == MODE_TRUE:
-            m = _marginal(rates, qs, warn=False)
-        else:
-            m = _shaded_marginal(rates, float(config.stack.lengths[0, 0]),
-                                 qs, warn=False)
+    m = _marginals(config, mode, qs)
     at_capacity = np.abs(qs + s_max) <= config.tol_root
     at_upper = qs >= q_upper - config.tol_root
     residuals = np.where(at_capacity, np.maximum(0.0, m - eta),
@@ -501,9 +486,25 @@ def solve_dual(config: MarketConfig, mode: str) -> SolveResult:
                        <= _SUM_ROUNDING * float(np.abs(qs).sum())),
         iterations=batch.iterations[0],
         mode=mode,
-        non_concave_prosumers=tuple(np.flatnonzero(flags).tolist()),
+        non_concave_prosumers=() if mode == MODE_TRUE else tuple(
+            np.flatnonzero(~_eq21_ok(qs, config.concavity_thresholds))
+            .tolist()),
         balance_residual=total,
     )
+
+
+def _marginals(config: MarketConfig, mode: str, q) -> np.ndarray:
+    """Every prosumer's marginal curve of the mode's program at q.
+
+    Without a warning: the callers warn once per call. A steep prosumer at
+    -s_max can have a marginal beyond the float range, which reads inf.
+    """
+    with np.errstate(over="ignore"):
+        if mode == MODE_TRUE:
+            return _marginal(config.rates, q, warn=False)
+        return _shaded_marginal(config.rates,
+                                float(config.stack.lengths[0, 0]), q,
+                                warn=False)
 
 
 def recover_bids(allocation: Allocation, d_min: float) -> np.ndarray:

@@ -75,6 +75,13 @@ class TestSweepSpec:
         with pytest.raises(DomainError, match="must be an integer"):
             case_study_spec("capacity_bounded", steps=2.5)
         assert SweepSpec("s_max", 0.1, 1.0, np.int64(5), base).steps == 5
+        # bounds are ints or floats; a bool does not run as 1.0
+        for bad in ("0.1", None, True, np.bool_(True)):
+            with pytest.raises(DomainError, match="^start must be"):
+                SweepSpec("s_max", bad, 1.0, 5, base)
+            with pytest.raises(DomainError, match="^stop must be"):
+                SweepSpec("s_max", 0.1, bad, 5, base)
+        assert SweepSpec("s_max", np.float64(0.1), 1, 5, base).stop == 1
 
     def test_unknown_panel(self):
         with pytest.raises(DomainError):
@@ -217,6 +224,16 @@ class TestBatchComposition:
         assert sum(issubclass(w.category, SaturationWarning)
                    for w in caught) == 1
 
+    @pytest.mark.parametrize("panel", PANELS)
+    def test_non_concave_flag_is_an_eq21_violation(self, panel):
+        # 400 steps cross each panel's regime boundaries far more finely
+        # than the 30-step golden files
+        rows = run_sweep(case_study_spec(panel, steps=400))
+        for row in rows:
+            if row.error is None:
+                assert row.non_concave_flag == (row.eq21_violations > 0), row
+        assert any(row.error is None for row in rows)
+
     @pytest.mark.parametrize("mode", [MODE_TRUE, MODE_MODIFIED])
     def test_subset_stack_equals_full_stack_rows(self, mode):
         rng = np.random.default_rng(3)
@@ -230,7 +247,6 @@ class TestBatchComposition:
                 MarketStack(*(field[rows] for field in stack)), mode)
             np.testing.assert_array_equal(sub.quantities,
                                           full.quantities[rows])
-            np.testing.assert_array_equal(sub.flags, full.flags[rows])
             for name in ("prices", "totals", "iterations", "errors"):
                 expected = [getattr(full, name)[k] for k in rows]
                 assert repr(getattr(sub, name)) == repr(expected), name
@@ -373,13 +389,23 @@ class TestLoadConfigFile:
         ("d_min", "2.0"),
         ("s_max", False),
         ("betas", [3.5, "4.0", 5.5]),
+        ("d_min", 10 ** 400),
     ], ids=["n-fractional", "n-bool", "n-string", "d_min-string",
-            "s_max-bool", "beta-string"])
+            "s_max-bool", "beta-string", "d_min-beyond-float"])
     def test_non_numeric_market_values_rejected(self, tmp_path, key, value):
         payload = self.base_payload()
         payload[key] = value
         with pytest.raises(ConfigError, match=key):
             load_config_file(self.write(tmp_path, payload))
+
+    def test_integer_beyond_digit_limit_rejected(self, tmp_path):
+        # beyond Python's integer digit limit, where it has one, and else
+        # beyond the float range
+        path = tmp_path / "huge.json"
+        path.write_text('{"n_prosumers": 2, "d_min": 1%s, "s_max": 1, '
+                        '"betas": [2, 3]}' % ("0" * 5000), encoding="utf-8")
+        with pytest.raises(ConfigError):
+            load_config_file(path)
 
     def test_steps_cap(self, tmp_path):
         base = MarketConfig(3, 1.0, 1.0, (2.0, 2.5, 3.0))
@@ -394,7 +420,9 @@ class TestLoadConfigFile:
 
     @pytest.mark.parametrize("key, value", [
         ("steps", 2.7), ("steps", True), ("steps", "4"), ("start", "0.1"),
-    ], ids=["steps-fractional", "steps-bool", "steps-string", "start-string"])
+        ("stop", 10 ** 400),
+    ], ids=["steps-fractional", "steps-bool", "steps-string", "start-string",
+            "stop-beyond-float"])
     def test_non_numeric_sweep_values_rejected(self, tmp_path, key, value):
         payload = self.base_payload()
         payload["sweep"] = {"variable": "s_max", "start": 0.1, "stop": 0.6,

@@ -278,6 +278,26 @@ class TestMarketConfig:
         assert getattr(cfg, field) == sys.float_info.epsilon
 
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_prosumers", 3.0), ("n_prosumers", True), ("n_prosumers", "3"),
+        ("d_min", "1.0"), ("d_min", np.bool_(True)), ("s_max", None),
+        ("s_max", True), ("tol_root", "1e-9"), ("eps_price", False),
+        ("betas", ("2", "2.5", "3")), ("betas", (2.0, None, 3.0)),
+        ("betas", (True, False, True))])
+    def test_rejects_non_numbers(self, field, value):
+        kwargs = dict(n_prosumers=3, d_min=1.0, s_max=1.0,
+                      betas=(2.0, 2.5, 3.0))
+        kwargs[field] = value
+        name = "prosumers" if field == "n_prosumers" else field
+        with pytest.raises(DomainError, match=f"^{name} must be"):
+            MarketConfig(**kwargs)
+
+    def test_accepts_numpy_numbers(self):
+        cfg = MarketConfig(np.int64(3), np.float64(1.0), np.int64(2),
+                           (2, 2.5, np.float64(3.0)))
+        assert type(cfg.n_prosumers) is int and cfg.n_prosumers == 3
+        assert cfg.betas == (2.0, 2.5, 3.0)
+
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("field", ["d_min", "s_max", "betas", "eps_price",
                                        "tol_root", "tol_kkt"])
