@@ -18,8 +18,10 @@ each measurement and then SAMPLES timed samples of:
     250 and 300 (betas uniform in [1.5, 3.5], d_min = 4, s_max = 1.6), which
     goes through the search as a stack of one.
 
-It also records the lockstep passes of each panel and mode and the excess
-evaluations they made. The output file defaults to BENCH_batched_sweep.json
+It also records the lockstep passes of each panel and mode and their excess
+evaluations: the sum of the markets' iterations, the evaluations of their
+own searches, not the rows evaluated, which are the passes times the
+points. The output file defaults to BENCH_batched_sweep.json
 at the root of this tree.
 """
 

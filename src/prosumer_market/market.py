@@ -358,7 +358,9 @@ class MarketConfig:
         _require_positive("d_min", self.d_min)
         _require_positive("s_max", self.s_max)
         betas = np.asarray(self.betas)
-        if betas.dtype.kind not in "iuf":
+        # numpy reads a bool among numbers as a number
+        if betas.dtype.kind not in "iuf" or betas.ndim == 1 and any(
+                isinstance(b, (bool, np.bool_)) for b in self.betas):
             raise DomainError(f"betas must be numbers, got {self.betas!r}")
         betas = betas.astype(float, copy=False)
         if betas.shape != (self.n_prosumers,):
@@ -424,10 +426,11 @@ def quantity_from_bid(theta: float, price: float, d_min: float) -> float:
     q = d_min + theta/price for price > 0; the zero-price point is defined
     only for theta = 0, where q = d_min by convention.
     """
-    if d_min <= 0:
-        raise DomainError(f"d_min must be positive, got {d_min}")
-    if price < 0:
-        raise DomainError(f"price must be nonnegative, got {price}")
+    _require_positive("d_min", d_min)
+    if not (math.isfinite(price) and price >= 0):
+        raise DomainError(f"price must be nonnegative and finite, got {price}")
+    if not math.isfinite(theta):
+        raise DomainError(f"the bid must be finite, got {theta}")
     if price == 0:
         if theta != 0:
             raise DomainError(
@@ -443,11 +446,12 @@ def clearing_price(thetas, d_min: float) -> float:
     sum thetas <= 0 (the operator rejects bid profiles violating it) and
     returns 0 for the all-zero profile.
     """
-    if d_min <= 0:
-        raise DomainError(f"d_min must be positive, got {d_min}")
+    _require_positive("d_min", d_min)
     t = np.asarray(thetas, dtype=float)
     if t.size == 0:
         raise DomainError("the bid profile is empty")
+    if not np.isfinite(t).all():
+        raise DomainError(f"bids must be finite, got {t.tolist()}")
     total = float(t.sum())
     if total > 0:
         raise InvalidBids(
@@ -481,9 +485,11 @@ def modified_utility_deriv2(spec: ExponentialUtility, n: int, q):
 class Allocation:
     """Net quantities with the dual price and stationarity certificate.
 
-    kkt_residuals[i] is |marginal(q_i) - dual_price| for interior prosumers
-    and max(0, marginal(q_i) - dual_price) for capacity-bound ones;
-    at_capacity[i] marks |q_i + s_max| within the balance tolerance.
+    kkt_residuals[i] is max(0, marginal(q_i) - dual_price) for
+    capacity-bound prosumers, max(0, dual_price - marginal(q_i)) for those
+    within tol_root of q_upper, and |marginal(q_i) - dual_price| for the
+    rest; at_capacity[i] marks q_i within tol_root of -s_max (within
+    max(tol_root, 1e-7) for brute_force_program).
     """
 
     quantities: np.ndarray

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import DomainError, TooLarge, UnboundedPayoff
 from .market import (_EXP_CLAMP, Allocation, MarketConfig, _count,
                      _shaded_utility, _utility, _warn_saturated)
-from .solver import MODE_TRUE, MODES, _marginals
+from .solver import MODE_TRUE, MODES, _allocation, _marginals
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # caps the best-response grid and the brute-force grid over all free
@@ -458,6 +458,4 @@ def _certify(config: MarketConfig, mode: str, quantities) -> Allocation:
     m = _marginals(config, mode, q)
     interior = m[~at_capacity]
     dual_price = float(np.median(interior) if interior.size else np.max(m))
-    residuals = np.where(at_capacity, np.maximum(0.0, m - dual_price),
-                         np.abs(m - dual_price))
-    return Allocation(q, dual_price, residuals, at_capacity)
+    return _allocation(config, q, m, dual_price, at_capacity)

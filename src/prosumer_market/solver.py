@@ -51,14 +51,13 @@ evaluations instead of bisecting ln(eta) down to them.
 The search runs in lockstep over a stack of m markets that share the
 prosumers' betas (market.MarketStack: the points of a sweep, or one
 market). Each market keeps its own bracket, iterate and stop rule; each
-pass evaluates every market still searching with one numpy call per
-kernel, on (m, n) arrays and (m, 1) columns of per-market values, writes
-each market's evaluation of least |sum q| so far into its row of the
-(m, n) result arrays, and the markets that settle are dropped from the
-stack before the next pass. Every
-per-market sum is one numpy reduction along the rows of a C-contiguous
-(m, n) array, which reduces each row exactly as it reduces that row alone,
-so a market's result does not depend on the markets stacked with it.
+pass evaluates every row of the stack with one numpy call per kernel, on
+(m, n) arrays and (m, 1) columns of per-market values, and writes the
+evaluation of each market still searching into its row of the (m, n)
+result arrays when it lowers that market's |sum q|. Every per-market sum
+is one numpy reduction along the rows of a C-contiguous (m, n) array,
+which reduces each row exactly as it reduces that row alone, so a
+market's result does not depend on the markets stacked with it.
 solve_dual is the search of a stack of one, on the stack cached on its
 MarketConfig.
 
@@ -337,12 +336,6 @@ class _Batch(NamedTuple):
     passes: int
 
 
-def _restack(st: MarketStack, kept) -> MarketStack:
-    """The rows kept of every field of st, gathered by one index array."""
-    rows = np.array(kept, dtype=np.intp)
-    return MarketStack(*(field.take(rows, axis=0) for field in st))
-
-
 def _solve_stack(st: MarketStack, mode: str) -> _Batch:
     """Safeguarded Newton searches in x = ln(eta), one per market, in lockstep.
 
@@ -353,21 +346,17 @@ def _solve_stack(st: MarketStack, mode: str) -> _Batch:
     x is -sum 1/r_i (true) or sum eta/S_mod''(q_i) (shaded) over the
     prosumers strictly inside their bounds. Where a Newton step would leave
     the bracket or the slope is not negative, the search takes a safeguard
-    step (_safeguard): the bracket's midpoint, unless a non-concave
-    prosumer's MarketStack.log_switch or the float above it lies strictly
-    inside the bracket. Excess demand can jump only between those two
-    floats, so the step goes to the one of them nearest the midpoint, and a
-    bracket around a jump closes on its adjacent floats. A market settles once
-    |sum q| is within the rounding floor of the sum, one evaluation after a
-    Newton step below _NEWTON_XTOL inside the bracket, when such a step lands
-    on an end, when the midpoint is no longer inside the bracket (it has closed
-    on a jump), or after _MAX_STEPS evaluations.
+    step (_safeguard). A market settles once |sum q| is within the rounding
+    floor of the sum, one evaluation after a Newton step below _NEWTON_XTOL
+    inside the bracket, when such a step lands on an end, when the midpoint
+    is no longer inside the bracket (it has closed on a jump), or after
+    _MAX_STEPS evaluations.
 
-    Each pass evaluates every market still searching with one numpy call
-    per kernel, writes each market's evaluation into the result when it
-    lowers its |sum q|, and then drops the markets that settle from the
-    stack, so that a market's evaluations do not depend on which other
-    markets share its stack.
+    Each pass evaluates every row of the stack, market k in row k, with one
+    numpy call per kernel, and then steps each market still searching in
+    one Python loop. A market that has settled keeps the last x it
+    evaluated, an error row its first; their rows are evaluated again and
+    discarded, so a market's iterations count its own search's evaluations.
     """
     m, n = st.rates.shape
     shaded = mode == MODE_MODIFIED
@@ -383,59 +372,47 @@ def _solve_stack(st: MarketStack, mode: str) -> _Batch:
     quantities = np.full((m, n), np.nan)
     prices, totals = [math.nan] * m, [math.nan] * m
     active = [k for k in range(m) if errors[k] is None]
-    if len(active) < m:
-        st = _restack(st, active)
     passes = 0
     while active and passes < _MAX_STEPS:
         passes += 1
-        etas = [math.exp(x[k]) for k in active]
+        etas = [math.exp(v) for v in x]
         if shaded:
             q = _inverse_modified(
-                st, np.array([x[k] for k in active])[:, None],
+                st, np.array(x)[:, None],
                 np.array([math.log(v) for v in etas])[:, None])
         else:
             q = _inverse_true(st, np.array(etas)[:, None])
         sums = q.sum(axis=1).tolist()
         scales = np.abs(q).sum(axis=1).tolist()
-        settled, going = [], []
-        for j, (k, e) in enumerate(zip(active, sums)):
+        slopes = _slopes(st, q, (q > st.q_lower) & (q < st.q_upper), shaded)
+        going = []
+        for k in active:
+            e = sums[k]
             iterations[k] += 1
             if iterations[k] == 1 or abs(e) < abs(totals[k]):
-                quantities[k], prices[k], totals[k] = q[j], etas[j], e
-            if last[k] or abs(e) <= _SUM_ROUNDING * scales[j]:
-                settled.append(j)
+                quantities[k], prices[k], totals[k] = q[k], etas[k], e
+            if last[k] or abs(e) <= _SUM_ROUNDING * scales[k]:
                 continue
-            going.append(j)
             if e > 0:
                 a[k] = x[k]
             else:
                 b[k] = x[k]
-        if going:
-            free = (q > st.q_lower) & (q < st.q_upper)
-            slopes = _slopes(st, q, free, shaded)
-        for j in going:
-            k, e, d = active[j], sums[j], slopes[j]
-            if shaded:
-                d *= etas[j]
+            d = slopes[k] * etas[k] if shaded else slopes[k]
             step = -e / d if d < 0 and math.isfinite(d) else math.nan
+            mid = 0.5 * (a[k] + b[k])
             if a[k] < x[k] + step < b[k]:
                 last[k] = abs(step) < _NEWTON_XTOL
                 x[k] += step
-            elif abs(step) < _NEWTON_XTOL:
-                # x is an end of the bracket now: the step rounds onto it or
-                # crosses it by less than the tolerance
-                settled.append(j)
+            elif abs(step) < _NEWTON_XTOL or not a[k] < mid < b[k]:
+                # x is an end of the bracket now (the step rounds onto it or
+                # crosses it by less than the tolerance), or the bracket has
+                # closed on a jump
+                continue
             else:
-                x[k] = 0.5 * (a[k] + b[k])
-                if not a[k] < x[k] < b[k]:
-                    settled.append(j)
-                elif switches:
-                    x[k] = _safeguard(st.log_switch[j], a[k], b[k], x[k])
-        if settled:
-            kept = sorted(set(range(len(active))) - set(settled))
-            active = [active[j] for j in kept]
-            if active:
-                st = _restack(st, kept)
+                x[k] = (_safeguard(st.log_switch[k], a[k], b[k], mid)
+                        if switches else mid)
+            going.append(k)
+        active = going
     return _Batch(quantities, prices, totals, iterations, errors, passes)
 
 
@@ -467,18 +444,12 @@ def solve_dual(config: MarketConfig, mode: str) -> SolveResult:
         raise BracketFailure(batch.errors[0])
     qs = batch.quantities[0]
     eta, total = batch.prices[0], batch.totals[0]
-    s_max, q_upper = config.s_max, config.q_upper
     m = _marginals(config, mode, qs)
-    at_capacity = np.abs(qs + s_max) <= config.tol_root
-    at_upper = qs >= q_upper - config.tol_root
-    residuals = np.where(at_capacity, np.maximum(0.0, m - eta),
-                         np.where(at_upper, np.maximum(0.0, eta - m),
-                                  np.abs(m - eta)))
-    allocation = Allocation(qs, eta, residuals, at_capacity)
+    at_capacity = np.abs(qs + config.s_max) <= config.tol_root
     if _saturates(config.stack):
         _warn_saturated(stacklevel=2)
     return SolveResult(
-        allocation=allocation,
+        allocation=_allocation(config, qs, m, eta, at_capacity),
         thetas=eta * (qs - config.d_min),
         price=eta,
         welfare_true=float(_welfares(config.stack, qs[None])[0]),
@@ -507,17 +478,29 @@ def _marginals(config: MarketConfig, mode: str, q) -> np.ndarray:
                                 warn=False)
 
 
+def _allocation(config: MarketConfig, q, m, eta: float,
+                at_capacity) -> Allocation:
+    """q at price eta as an Allocation, with each prosumer's KKT residual.
+
+    With marginals m the residual is max(0, m - eta) for the prosumers
+    marked at_capacity, max(0, eta - m) within tol_root of q_upper, and
+    |m - eta| in between.
+    """
+    at_upper = q >= config.q_upper - config.tol_root
+    return Allocation(q, eta, np.where(
+        at_capacity, np.maximum(0.0, m - eta),
+        np.where(at_upper, np.maximum(0.0, eta - m), np.abs(m - eta))),
+        at_capacity)
+
+
 def recover_bids(allocation: Allocation, d_min: float) -> np.ndarray:
     """Bids that reproduce a balanced allocation at its dual price.
 
     theta_i = dual_price * (q_i - d_min); the clearing price of the
     recovered profile equals the dual price again.
     """
-    if allocation.dual_price <= 0:
-        raise DomainError(
-            f"dual price must be positive, got {allocation.dual_price}")
-    if d_min <= 0:
-        raise DomainError(f"d_min must be positive, got {d_min}")
+    _require_positive("dual price", allocation.dual_price)
+    _require_positive("d_min", d_min)
     return allocation.dual_price * (allocation.quantities - d_min)
 
 

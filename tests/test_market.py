@@ -51,6 +51,14 @@ class TestQuantityFromBid:
         with pytest.raises(DomainError):
             quantity_from_bid(1.0, -0.5, 4.0)
 
+    @pytest.mark.parametrize("theta, price, d_min", [
+        (1.0, math.nan, 1.0), (1.0, math.inf, 1.0), (1.0, 1.0, math.nan),
+        (1.0, 1.0, math.inf), (1.0, 1.0, 0.0), (math.inf, 1.0, 1.0),
+        (math.nan, 1.0, 1.0), (math.nan, 0.0, 1.0)])
+    def test_rejects_non_finite_inputs(self, theta, price, d_min):
+        with pytest.raises(DomainError):
+            quantity_from_bid(theta, price, d_min)
+
     @given(
         q=st.floats(-50, 50),
         price=st.floats(1e-6, 1e3),
@@ -79,6 +87,17 @@ class TestClearingPrice:
     def test_empty_profile_rejected(self):
         with pytest.raises(DomainError, match="empty"):
             clearing_price([], 1.0)
+
+    @pytest.mark.parametrize("d_min", [math.nan, math.inf, 0.0, -1.0, True])
+    def test_rejects_bad_d_min(self, d_min):
+        with pytest.raises(DomainError, match="^d_min must be"):
+            clearing_price([-1.0], d_min)
+
+    @pytest.mark.parametrize("thetas", [[math.nan, -1.0], [-math.inf, -1.0],
+                                        [math.inf, -math.inf]])
+    def test_rejects_non_finite_bids(self, thetas):
+        with pytest.raises(DomainError, match="^bids must be finite"):
+            clearing_price(thetas, 1.0)
 
     @given(
         price=st.floats(1e-6, 1e3),
@@ -283,7 +302,8 @@ class TestMarketConfig:
         ("d_min", "1.0"), ("d_min", np.bool_(True)), ("s_max", None),
         ("s_max", True), ("tol_root", "1e-9"), ("eps_price", False),
         ("betas", ("2", "2.5", "3")), ("betas", (2.0, None, 3.0)),
-        ("betas", (True, False, True))])
+        ("betas", (True, False, True)), ("betas", (True, 2.0, 3.0)),
+        ("betas", [2.0, 2.5, np.True_]), ("betas", (np.True_, 2, 3))])
     def test_rejects_non_numbers(self, field, value):
         kwargs = dict(n_prosumers=3, d_min=1.0, s_max=1.0,
                       betas=(2.0, 2.5, 3.0))

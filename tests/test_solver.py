@@ -894,6 +894,15 @@ class TestRecoverBids:
         with pytest.raises(DomainError):
             recover_bids(alloc, 1.0)
 
+    @pytest.mark.parametrize("price, d_min, name", [
+        (math.nan, 1.0, "dual price"), (math.inf, 1.0, "dual price"),
+        (1.0, math.nan, "d_min"), (1.0, math.inf, "d_min"),
+        (1.0, 0.0, "d_min")])
+    def test_rejects_non_finite_inputs(self, price, d_min, name):
+        alloc = Allocation(np.zeros(2), price)
+        with pytest.raises(DomainError, match=f"^{name} must be"):
+            recover_bids(alloc, d_min)
+
 
 class TestWelfare:
     def test_zero_at_inelastic_point(self):
@@ -942,8 +951,9 @@ class TestOnDemandBracket:
             monkeypatch.setattr(solver, name, counted)
         return seen
 
-    def test_iterations_count_every_evaluation(self, etas):
-        # each panel and mode is one lockstep search over the stacked points
+    def test_stack_evaluates_every_row_every_pass(self, etas):
+        # each panel and mode is one lockstep search over the stacked points,
+        # and each pass evaluates every row, settled or not
         gap_rows = 0
         for panel in PANELS:
             spec = case_study_spec(panel, steps=30)
@@ -955,13 +965,28 @@ class TestOnDemandBracket:
                     cfg = spec.config_at(float(value))
                     key = (panel, float(value), mode)
                     seen = etas[(cfg.d_min, cfg.s_max)]
-                    assert len(seen) == batch.iterations[k], key
+                    assert len(seen) == batch.passes, key
+                    # a settled row repeats the last eta of its own search
+                    own = batch.iterations[k]
+                    assert 0 < own <= batch.passes, key
+                    assert set(seen[own:]) <= {seen[own - 1]}, key
                     gap_rows += abs(batch.totals[k]) > cfg.tol_root
                     bottom, top = _closed_form_bracket(cfg, mode)
                     assert bottom * (1 + 1e-9) < min(seen), key
                     assert max(seen) < top * (1 - 1e-9), key
         # the s_max=4.5 Nash row is the one unbalanced solve
         assert gap_rows == 1
+
+    def test_iterations_count_every_evaluation(self, etas):
+        # a solve is the search of a stack of one, whose every pass is its own
+        for panel in PANELS:
+            spec = case_study_spec(panel, steps=30)
+            for value in spec.values():
+                cfg = spec.config_at(float(value))
+                for mode in (MODE_TRUE, MODE_MODIFIED):
+                    etas.clear()
+                    res = solve_dual(cfg, mode)
+                    assert len(etas[(cfg.d_min, cfg.s_max)]) == res.iterations
 
     def test_no_bottom_still_raises(self, etas):
         # every prosumer's shaded curve is lower at q_upper than at -s_max,
@@ -975,6 +1000,19 @@ class TestOnDemandBracket:
         eta_lo, eta_hi = _closed_form_bracket(cfg, MODE_MODIFIED)
         assert str(err.value).endswith(
             f"(eta range [{eta_lo:g}, {eta_hi:g}], excess [-8, -8])")
+
+
+class TestLockstepPasses:
+    """Every pass of a stacked search evaluates the whole stack."""
+
+    def test_passes_per_panel_and_mode(self):
+        expected = {"capacity_bounded": (4, 6), "capacity_unbounded": (4, 7),
+                    "demand_bounded": (3, 5), "demand_unbounded": (4, 6)}
+        for panel, passes in expected.items():
+            spec = case_study_spec(panel, steps=30)
+            stack = experiments._sweep_stack(spec, spec.values())
+            assert tuple(solver._solve_stack(stack, mode).passes
+                         for mode in (MODE_TRUE, MODE_MODIFIED)) == passes
 
 
 class TestLockstepSlopes:
