@@ -53,15 +53,34 @@ def _warn_saturated(stacklevel: int) -> None:
                   SaturationWarning, stacklevel=stacklevel + 1)
 
 
-def _require_positive(name: str, value) -> None:
-    """DomainError unless value is a positive finite int or float.
+def _is_real(value) -> bool:
+    """Whether value is an int or float; numpy numbers count, bools do not."""
+    return (not isinstance(value, bool)
+            and isinstance(value, (int, float, np.integer, np.floating)))
 
-    numpy numbers count, bools do not, as for _count.
-    """
-    if (isinstance(value, bool)
-            or not isinstance(value, (int, float, np.integer, np.floating))
-            or not (math.isfinite(value) and value > 0)):
+
+def _require_positive(name: str, value) -> None:
+    """DomainError unless value is a positive finite int or float."""
+    if not (_is_real(value) and math.isfinite(value) and value > 0):
         raise DomainError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _real_vector(name: str, values) -> np.ndarray:
+    """values as a 1-D float array; DomainError unless it holds numbers.
+
+    Each entry must pass _is_real: numpy reads a bool among numbers as a
+    number, so a sequence is searched for bools entry by entry.
+    """
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    if arr.ndim != 1 or arr.dtype.kind not in "iuf" or (
+            not isinstance(values, np.ndarray)
+            and any(isinstance(v, (bool, np.bool_)) for v in values)):
+        raise DomainError(f"{name} must be a 1-D sequence of numbers, "
+                          f"got {values!r}")
+    return arr.astype(float, copy=False)
 
 
 def _count(name: str, value, least: int) -> int:
@@ -357,12 +376,7 @@ class MarketConfig:
                            _count("prosumers", self.n_prosumers, 2))
         _require_positive("d_min", self.d_min)
         _require_positive("s_max", self.s_max)
-        betas = np.asarray(self.betas)
-        # numpy reads a bool among numbers as a number
-        if betas.dtype.kind not in "iuf" or betas.ndim == 1 and any(
-                isinstance(b, (bool, np.bool_)) for b in self.betas):
-            raise DomainError(f"betas must be numbers, got {self.betas!r}")
-        betas = betas.astype(float, copy=False)
+        betas = _real_vector("betas", self.betas)
         if betas.shape != (self.n_prosumers,):
             raise DomainError(
                 f"expected {self.n_prosumers} betas, got shape {betas.shape}")
@@ -427,10 +441,10 @@ def quantity_from_bid(theta: float, price: float, d_min: float) -> float:
     only for theta = 0, where q = d_min by convention.
     """
     _require_positive("d_min", d_min)
-    if not (math.isfinite(price) and price >= 0):
-        raise DomainError(f"price must be nonnegative and finite, got {price}")
-    if not math.isfinite(theta):
-        raise DomainError(f"the bid must be finite, got {theta}")
+    if not (_is_real(price) and math.isfinite(price) and price >= 0):
+        raise DomainError(f"price must be finite and >= 0, got {price!r}")
+    if not (_is_real(theta) and math.isfinite(theta)):
+        raise DomainError(f"the bid must be a finite number, got {theta!r}")
     if price == 0:
         if theta != 0:
             raise DomainError(
@@ -442,12 +456,12 @@ def quantity_from_bid(theta: float, price: float, d_min: float) -> float:
 def clearing_price(thetas, d_min: float) -> float:
     """Uniform price balancing all committed net quantities.
 
-    p = -(sum thetas) / (N * d_min); requires at least one bid and
-    sum thetas <= 0 (the operator rejects bid profiles violating it) and
-    returns 0 for the all-zero profile.
+    p = -(sum thetas) / (N * d_min); requires a 1-D profile of at least one
+    number and sum thetas <= 0 (the operator rejects bid profiles violating
+    it) and returns 0.0 for a zero sum.
     """
     _require_positive("d_min", d_min)
-    t = np.asarray(thetas, dtype=float)
+    t = _real_vector("bids", thetas)
     if t.size == 0:
         raise DomainError("the bid profile is empty")
     if not np.isfinite(t).all():
@@ -456,7 +470,7 @@ def clearing_price(thetas, d_min: float) -> float:
     if total > 0:
         raise InvalidBids(
             f"bid sum must be <= 0 for a nonnegative price, got {total}")
-    return -total / (t.size * d_min)
+    return 0.0 if total == 0 else -total / (t.size * d_min)
 
 
 def modified_utility(spec: ExponentialUtility, n: int, q):

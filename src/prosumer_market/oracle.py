@@ -18,11 +18,11 @@ Two routes:
     win.
 
 Both build and scan their grids in blocks of at most _BLOCK cells and keep
-the first maximum, as np.argmax over the whole grid would; memory grows
-with the grid only by best_response's one bound per _CELL bids and
-brute_force_program's one bound per grid row. Each call issues at most one
-SaturationWarning. Both deliberately avoid the solver module's
-marginal-inversion machinery.
+the first maximum, as np.argmax over the whole grid would. One pruned
+scan, _pruned_argmax, serves best_response's cells of _CELL bids and the
+N = 3 grid rows; memory grows with the grid only by its one bound per cell
+or row. Each call issues at most one SaturationWarning. Both deliberately
+avoid the solver module's marginal-inversion machinery.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError, TooLarge, UnboundedPayoff
 from .market import (_EXP_CLAMP, Allocation, MarketConfig, _count,
-                     _shaded_utility, _utility, _warn_saturated)
+                     _saturates, _shaded_utility, _utility, _warn_saturated)
 from .solver import MODE_TRUE, MODES, _allocation, _marginals
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -45,6 +45,7 @@ MAX_GRID_POINTS = 10_000_000
 # stays in cache and below glibc's mmap threshold
 _BLOCK = 8192
 _CELL = 256  # bids one best-response payoff bound covers; divides _BLOCK
+_ZOOM_PASSES = 2  # README's numerical notes say why more do not help
 
 
 @dataclass(frozen=True)
@@ -60,37 +61,6 @@ class BestResponseResult:
     payoff_star: float
     payoff_at_candidate: float
     gap: float
-
-
-class _Curves:
-    """The curves of one brute_force_program call, evaluated without warnings.
-
-    S_i in the true mode, else S_mod,i. Each evaluation records the lowest q
-    prosumer i was evaluated at, where its exponent -r*q peaks, so warn()
-    issues the call's one SaturationWarning exactly when the clamp engaged.
-    """
-
-    def __init__(self, config: MarketConfig, mode: str):
-        self.rates, self.offsets = config.rates, config.offsets
-        self.q_min = np.full(config.n_prosumers, np.inf)
-        self.shaded = mode != MODE_TRUE
-        if self.shaded:
-            self.d_min = config.d_min
-            self.length = float(config.stack.lengths[0, 0])
-
-    def __call__(self, i: int, q):
-        """Curve i at q, recording the lowest q it reads."""
-        self.q_min[i] = min(self.q_min[i], np.min(q))
-        r, offset = self.rates[i], self.offsets[i]
-        if not self.shaded:
-            return _utility(r, offset, q, warn=False)
-        return _shaded_utility(r, offset, self.length, self.d_min, q,
-                               warn=False)
-
-    def warn(self) -> None:
-        """Warn once, at the verifier's caller, if the clamp engaged."""
-        if np.any(-self.rates * self.q_min > _EXP_CLAMP):
-            _warn_saturated(stacklevel=3)
 
 
 def _first_argmax(blocks, starts=None) -> tuple[int, float]:
@@ -110,6 +80,31 @@ def _first_argmax(blocks, starts=None) -> tuple[int, float]:
             best_k, best = offset + j, v
         offset += vals.size
     return best_k, best
+
+
+def _pruned_argmax(bounds, scan, unit: int) -> tuple[int, float]:
+    """_first_argmax over the units that can hold the first maximum.
+
+    scan(a, b) returns the values of units a to b - 1, unit cells each, in
+    flat order; bounds[u] bounds unit u's values from above. The unit of
+    largest bound is evaluated first, and its maximum is the incumbent.
+    Every unit whose bound lies strictly below it is skipped, except the
+    last, which is always scanned: best_response's last cell holds
+    theta_hi, which its bound leaves out. The rest are scanned in runs cut
+    where a _BLOCK-cell block of the full scan starts, so the flat index
+    and value are those of np.argmax over every unit.
+    """
+    top = int(np.argmax(bounds))
+    keep = ~(bounds < np.max(scan(top, top + 1)))
+    keep[-1] = True
+    runs = []
+    for u in np.flatnonzero(keep).tolist():
+        if runs and runs[-1][1] == u and u % (_BLOCK // unit):
+            runs[-1][1] += 1
+        else:
+            runs.append([u, u + 1])
+    return _first_argmax((scan(a, b) for a, b in runs),
+                         [a * unit for a, _ in runs])
 
 
 class _Payoff:
@@ -269,18 +264,8 @@ def best_response(i: int, thetas, config: MarketConfig,
     # cell c holds bids c*_CELL onward; its bound leaves out theta_hi
     first = np.arange(0, last + 1, _CELL, dtype=float)
     end = np.minimum(first + (_CELL - 1), last - 1) * step + theta_lb
-    bounds = payoff.bound(first * step + theta_lb, end)
-    c = int(np.argmax(bounds))
-    keep = ~(bounds < np.max(scan(c, c + 1)))
-    keep[-1] = True  # the cell holding theta_hi
-    runs = []  # runs of kept cells, cut where a _BLOCK-bid block starts
-    for c in np.flatnonzero(keep).tolist():
-        if runs and runs[-1][1] == c and c % (_BLOCK // _CELL):
-            runs[-1][1] += 1
-        else:
-            runs.append([c, c + 1])
-    k, payoff_k = _first_argmax((scan(a, b) for a, b in runs),
-                                [a * _CELL for a, _ in runs])
+    k, payoff_k = _pruned_argmax(payoff.bound(first * step + theta_lb, end),
+                                 scan, _CELL)
     lo, at_k, hi = (theta_hi if j == last else j * step + theta_lb
                     for j in (max(k - 1, 0), k, min(k + 1, last)))
     theta_star, payoff_star = _golden_max(
@@ -292,34 +277,47 @@ def best_response(i: int, thetas, config: MarketConfig,
                               payoff_star - payoff_at_candidate)
 
 
-def _welfare_blocks(curves: _Curves, axes, lo_full: float, hi_full: float,
-                    shift: float = 0.0):
-    """The welfare over one pass's grid, in row blocks, and their flat starts.
+def _curve(config: MarketConfig, mode: str):
+    """(i, q) -> S_i(q) in the true mode, else S_mod,i(q), without warnings."""
+    r, offsets = config.rates, config.offsets
+    if mode == MODE_TRUE:
+        return lambda i, q: _utility(r[i], offsets[i], q, warn=False)
+    length, d_min = float(config.stack.lengths[0, 0]), config.d_min
+    return lambda i, q: _shaded_utility(r[i], offsets[i], length, d_min, q,
+                                        warn=False)
 
-    Returns the blocks, in row-major order, a block of whole rows at a time,
-    and each block's flat index (None for N = 2, which yields every row).
+
+def _welfare_argmax(curve, axes, lo_full: float, hi_full: float,
+                    shift: float = 0.0) -> tuple[int, float]:
+    """Flat index and value of the first welfare maximum over a pass's grid.
+
     The last prosumer balances the free ones. The free prosumers' curves are
     separable, so they are evaluated once per axis and broadcast. The axes
     share one spacing, so the balancing quantity of cell (i, j) depends on
     i + j only: the last prosumer's curve is evaluated once, on the 2G-1
-    points w = linspace(-(a_0 + b_0), -(a_end + b_end), 2G-1), reads -inf
-    where w leaves [lo_full, hi_full], and reaches the cells through the
-    zero-copy Hankel view hankel[i, j] = last[i + j]. For N = 2, w = -a.
-    For N = 3 the blocks skip every row whose _row_bounds, at the given
-    shift, lies strictly below the maximum of the row of largest bound, so
-    the first grid maximum is still among the rows they hold.
+    points w = linspace(-(a_0 + b_0), -(a_end + b_end), 2G-1), and reaches
+    the cells through the zero-copy Hankel view hankel[i, j] = last[i + j].
+    For N = 2, w = -a. w[i + j] lies within 4*ulp(max|a| + max|b|) of
+    -(a_i + b_j); a w that close to lo_full or hi_full is put exactly
+    there, so the capacity line stays feasible, and last reads -inf where
+    w leaves [lo_full, hi_full]. For N = 3 _pruned_argmax skips the rows
+    that _row_bounds, at the given shift, rules out; size <= 3162 under
+    MAX_GRID_POINTS, so a _BLOCK holds whole rows.
     """
     n, size = len(axes) + 1, axes[0].size
     w = np.linspace(-sum(axis[0] for axis in axes),
                     -sum(axis[-1] for axis in axes), (n - 1) * (size - 1) + 1)
+    tol = 4 * np.spacing(sum(np.max(np.abs(axis)) for axis in axes))
+    for bound in (lo_full, hi_full):
+        w[np.abs(w - bound) <= tol] = bound
     feasible = (w >= lo_full) & (w <= hi_full)
     last = np.full(w.size, -np.inf)
-    last[feasible] = curves(n - 1, w[feasible])
-    head = curves(0, axes[0])
+    last[feasible] = curve(n - 1, w[feasible])
+    head = curve(0, axes[0])
     if n == 2:
-        return (head[a:a + _BLOCK] + last[a:a + _BLOCK]
-                for a in range(0, size, _BLOCK)), None
-    tail = curves(1, axes[1])
+        return _first_argmax(head[a:a + _BLOCK] + last[a:a + _BLOCK]
+                             for a in range(0, size, _BLOCK))
+    tail = curve(1, axes[1])
     hankel = np.lib.stride_tricks.sliding_window_view(last, size)
 
     def rows(a: int, b: int) -> np.ndarray:  # rows a to b - 1
@@ -327,17 +325,7 @@ def _welfare_blocks(curves: _Curves, axes, lo_full: float, hi_full: float,
         vals += hankel[a:b]
         return vals
 
-    bounds = _row_bounds(head, tail, last, shift)
-    top = int(np.argmax(bounds))
-    kept = np.flatnonzero(~(bounds < np.max(rows(top, top + 1))))
-    # runs of kept rows, cut where a _BLOCK-cell block of the full scan
-    # starts; size <= 3162 under MAX_GRID_POINTS
-    per_block = _BLOCK // size
-    cut = np.flatnonzero((np.diff(kept) != 1) | (kept[1:] % per_block == 0))
-    firsts = kept[np.r_[0, cut + 1]].tolist()
-    ends = (kept[np.r_[cut, kept.size - 1]] + 1).tolist()
-    return ((rows(a, b) for a, b in zip(firsts, ends)),
-            [a * size for a in firsts])
+    return _pruned_argmax(_row_bounds(head, tail, last, shift), rows, size)
 
 
 def _row_bounds(head, tail, last, shift: float) -> np.ndarray:
@@ -370,13 +358,12 @@ def _row_bounds(head, tail, last, shift: float) -> np.ndarray:
 
 
 def brute_force_program(config: MarketConfig, mode: str,
-                        grid_points: int = 1001,
-                        zoom_passes: int = 2) -> Allocation:
+                        grid_points: int = 1001) -> Allocation:
     """Exhaustive grid maximization of a welfare program for N in {2, 3}.
 
     Scans the balanced slice {sum q = 0, -s_max <= q_i <= (N-1)*s_max} with
     grid_points per free dimension, then re-grids a shrinking window around
-    the incumbent for zoom_passes rounds so the returned grid point is
+    the incumbent for _ZOOM_PASSES rounds so the returned grid point is
     sharp enough to certify the dual solver. The zoom assumes the incumbent
     basin contains the optimum, which holds on the concave regime this
     oracle is specified for. Each zoom pass re-grids a window of four cells
@@ -385,10 +372,9 @@ def brute_force_program(config: MarketConfig, mode: str,
     and the cell shrinks by (grid_points - 1)/4 per pass. The balancing
     quantity is then constant along each anti-diagonal of the grid, and
     the optimum on the capacity line q_N = -s_max is searched along that
-    line at the grid's resolution. Two passes are the default; README's
-    numerical notes say why more do not bring the returned point closer to
-    the optimum. The scan holds about _BLOCK cells at a time and returns the
-    first grid maximum in row-major order.
+    line, which every pass keeps feasible, at the grid's resolution. The
+    scan holds about _BLOCK cells at a time and returns the first grid
+    maximum in row-major order.
 
     For N = 3 each pass skips the rows that _row_bounds rules out. Its
     shift is eta*h, h the pass's spacing and eta the median of the three
@@ -398,10 +384,11 @@ def brute_force_program(config: MarketConfig, mode: str,
     the grid maximum, so the flat index, its value, the zoom windows and
     the result are those of the full scan, bit for bit, whatever the shift.
     _certify then puts a prosumer within its tolerance of -s_max exactly
-    there. Raises DomainError unless grid_points is an integer of at least
-    1000 and zoom_passes one of at least 0, and TooLarge, before building
-    any grid, when grid_points**(N-1) exceeds MAX_GRID_POINTS (3162 points
-    for N = 3).
+    there. No quantity evaluated lies below -s_max, so the call warns, as
+    solve_dual does, exactly when some r_i*s_max exceeds 700. Raises
+    DomainError unless grid_points is an integer of at least 1000, and
+    TooLarge, before building any grid, when grid_points**(N-1) exceeds
+    MAX_GRID_POINTS (3162 points for N = 3).
     """
     if mode not in MODES:
         raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
@@ -409,21 +396,19 @@ def brute_force_program(config: MarketConfig, mode: str,
     if n > 3:
         raise TooLarge(f"brute force supports at most 3 prosumers, got {n}")
     grid_points = _count("grid points", grid_points, 1000)
-    zoom_passes = _count("zoom passes", zoom_passes, 0)
     if grid_points ** (n - 1) > MAX_GRID_POINTS:
         raise TooLarge(f"brute force supports at most {MAX_GRID_POINTS} grid "
                        f"points in all, got {grid_points}**{n - 1}")
     s = config.s_max
-    curves = _Curves(config, mode)
+    curve = _curve(config, mode)
     lo_full, hi_full = -s, (n - 1) * s
     # the free coordinates q_1..q_{N-1}; the last prosumer balances them
     lo, hi = [lo_full] * (n - 1), [hi_full] * (n - 1)
     eta = 0.0  # the first pass has no incumbent to price the balance at
-    for _ in range(zoom_passes + 1):
+    for _ in range(_ZOOM_PASSES + 1):
         axes = [np.linspace(a, b, grid_points) for a, b in zip(lo, hi)]
         h = (hi[0] - lo[0]) / (grid_points - 1)  # the axes' spacing
-        k, _ = _first_argmax(*_welfare_blocks(curves, axes, lo_full, hi_full,
-                                              eta * h))
+        k, _ = _welfare_argmax(curve, axes, lo_full, hi_full, eta * h)
         k = np.unravel_index(k, (grid_points,) * (n - 1))
         best = [float(axis[j]) for axis, j in zip(axes, k)]
         point = best + [-best[0] - sum(best[1:])]
@@ -437,7 +422,8 @@ def brute_force_program(config: MarketConfig, mode: str,
                 lo[j], hi[j] = lo_full, lo_full + 2 * half
             elif hi[j] > hi_full:
                 lo[j], hi[j] = hi_full - 2 * half, hi_full
-    curves.warn()
+    if _saturates(config.stack):
+        _warn_saturated(stacklevel=2)
     return _certify(config, mode, point)
 
 

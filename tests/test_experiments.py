@@ -281,6 +281,12 @@ class TestEmitCsv:
         with pytest.raises(DomainError):
             emit_csv([], tmp_path / "empty.csv")
 
+    def test_empty_gnuplot_export_rejected(self, tmp_path):
+        path = tmp_path / "empty.dat"
+        with pytest.raises(DomainError, match="empty export"):
+            emit_gnuplot([], path)
+        assert not path.exists()
+
     def test_gnuplot_export(self, tmp_path, bounded_rows):
         path = tmp_path / "panel.dat"
         emit_gnuplot(bounded_rows, path)
@@ -362,6 +368,20 @@ class TestLoadConfigFile:
         payload["sweep"] = {"variable": "s_max", "start": 0.1, "stop": 0.6,
                             "steps": 4, "scale": "log"}
         with pytest.raises(ConfigError, match="scale"):
+            load_config_file(self.write(tmp_path, payload))
+
+    def test_top_level_must_be_an_object(self, tmp_path):
+        with pytest.raises(ConfigError, match="top level must be"):
+            load_config_file(self.write(tmp_path, [self.base_payload()]))
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("tolerances", [1e-9], "tolerances must be an object"),
+        ("betas", {"0": 3.5}, "betas must be an array"),
+        ("sweep", ["s_max", 0.1, 0.6, 4], "sweep must be an object")])
+    def test_block_of_the_wrong_type(self, tmp_path, key, value, message):
+        payload = self.base_payload()
+        payload[key] = value
+        with pytest.raises(ConfigError, match=message):
             load_config_file(self.write(tmp_path, payload))
 
     def test_missing_required_key(self, tmp_path):

@@ -59,6 +59,18 @@ class TestQuantityFromBid:
         with pytest.raises(DomainError):
             quantity_from_bid(theta, price, d_min)
 
+    @pytest.mark.parametrize("theta, price", [
+        (True, 1.0), (1.0, True), (np.True_, 1.0), ("1", 1.0), (1.0, "1"),
+        (None, 1.0), ([1.0], 1.0)],
+        ids=["bool-bid", "bool-price", "numpy-bool-bid", "string-bid",
+             "string-price", "none-bid", "list-bid"])
+    def test_rejects_non_numbers(self, theta, price):
+        with pytest.raises(DomainError):
+            quantity_from_bid(theta, price, 1.0)
+
+    def test_accepts_numpy_numbers(self):
+        assert quantity_from_bid(np.float32(-1.0), np.int64(2), 1.0) == 0.5
+
     @given(
         q=st.floats(-50, 50),
         price=st.floats(1e-6, 1e3),
@@ -74,6 +86,12 @@ class TestClearingPrice:
     def test_all_zero(self):
         assert clearing_price(np.zeros(5), 2.0) == 0.0
 
+    @pytest.mark.parametrize("thetas", [np.zeros(5), [0.0, 0.0],
+                                        [-0.0, -0.0], [1.0, -1.0]])
+    def test_zero_sum_is_positive_zero(self, thetas):
+        price = clearing_price(thetas, 2.0)
+        assert price == 0.0 and math.copysign(1.0, price) == 1.0
+
     def test_two_suppliers(self):
         assert clearing_price([-1.0, -1.0], 1.0) == 1.0
 
@@ -87,6 +105,18 @@ class TestClearingPrice:
     def test_empty_profile_rejected(self):
         with pytest.raises(DomainError, match="empty"):
             clearing_price([], 1.0)
+
+    @pytest.mark.parametrize("thetas", [
+        ["a"], [True, False], [True, -2.0], [-1.0, np.True_],
+        np.array([False, True]), [[-1.0, 0.0]], np.array([[-1.0]]), -1.0,
+        [[-1.0], [-1.0, -2.0]], [None, -1.0], "-1"])
+    def test_rejects_non_numeric_or_not_1d_profiles(self, thetas):
+        with pytest.raises(DomainError, match="^bids must be a 1-D"):
+            clearing_price(thetas, 1.0)
+
+    def test_accepts_integer_and_numpy_bids(self):
+        assert clearing_price((-1, -2), 1.0) == 1.5
+        assert clearing_price(np.array([-1.0, -2.0], np.float32), 1.0) == 1.5
 
     @pytest.mark.parametrize("d_min", [math.nan, math.inf, 0.0, -1.0, True])
     def test_rejects_bad_d_min(self, d_min):
@@ -311,6 +341,13 @@ class TestMarketConfig:
         name = "prosumers" if field == "n_prosumers" else field
         with pytest.raises(DomainError, match=f"^{name} must be"):
             MarketConfig(**kwargs)
+
+    @pytest.mark.parametrize("betas", [
+        (10 ** 400, 2.5, 3.0), ((2.0,), (2.5, 3.0), 1.0),
+        ((2.0,), (2.5,), (3.0,))], ids=["int-beyond-float", "ragged", "2d"])
+    def test_rejects_betas_that_are_not_a_vector_of_floats(self, betas):
+        with pytest.raises(DomainError, match="^betas must be"):
+            MarketConfig(3, 1.0, 1.0, betas)
 
     def test_accepts_numpy_numbers(self):
         cfg = MarketConfig(np.int64(3), np.float64(1.0), np.int64(2),

@@ -184,6 +184,13 @@ class TestBestResponse:
         q = quantity_from_bid(res.theta_star, price, d_min)
         assert q == pytest.approx(-s_max, abs=1e-12)
 
+    def test_rejects_empty_bid_interval(self):
+        # rival sum -2: theta_hi = 2 - eps_price = -3 lies below the
+        # capacity bound theta_lb = 1.5*(-2)/1.5 = -2
+        cfg = MarketConfig(3, 1.0, 0.5, (2.0, 3.0, 4.0), eps_price=5.0)
+        with pytest.raises(DomainError, match="empty bid interval"):
+            best_response(0, np.full(3, -1.0), cfg, grid_points=1000)
+
     def test_rejects_nonnegative_rival_sum(self):
         cfg = MarketConfig(2, 1.0, 3.0, (2.0, 2.0))
         with pytest.raises(UnboundedPayoff):
@@ -307,10 +314,8 @@ class TestBruteForce:
             brute_force_program(cfg, MODE_TRUE, grid_points=100)
 
     @pytest.mark.parametrize("kwargs", [
-        {"zoom_passes": -1}, {"zoom_passes": 1.5}, {"zoom_passes": True},
-        {"zoom_passes": np.nan}, {"grid_points": 1000.5},
-        {"grid_points": 1000.0}, {"grid_points": np.nan},
-        {"grid_points": True}])
+        {"grid_points": 1000.5}, {"grid_points": 1000.0},
+        {"grid_points": np.nan}, {"grid_points": True}])
     def test_rejects_bad_grid_arguments(self, kwargs):
         cfg = MarketConfig(3, 2.0, 0.6, (3.5, 4.0, 5.5))
         with pytest.raises(DomainError):
@@ -319,8 +324,8 @@ class TestBruteForce:
     def test_accepts_numpy_integer_grid_arguments(self):
         cfg = MarketConfig(2, 1.0, 0.3, (9.0, 12.0))
         _assert_same_allocation(
-            brute_force_program(cfg, MODE_TRUE, np.int64(1000), np.int8(0)),
-            brute_force_program(cfg, MODE_TRUE, 1000, 0))
+            brute_force_program(cfg, MODE_TRUE, np.int64(1000)),
+            brute_force_program(cfg, MODE_TRUE, 1000))
 
     def test_prosumer_at_capacity_sits_exactly_there(self):
         # the grid returns q_2 = -s_max + 4.2e-9, which the certificate marks
@@ -364,14 +369,16 @@ class TestBruteForce:
         MarketConfig(3, 2.0, 0.6, (3.5, 4.0, 5.5)),
         MarketConfig(2, 1.0, 0.3, (9.0, 12.0))])
     @pytest.mark.parametrize("mode", [MODE_TRUE, MODE_MODIFIED])
-    def test_two_default_zoom_passes_agree_with_four(self, cfg, mode):
+    def test_two_default_zoom_passes_agree_with_four(self, cfg, mode,
+                                                     monkeypatch):
         assert np.all(cfg.concavity_thresholds <= -cfg.s_max)
+        assert oracle._ZOOM_PASSES == 2
         default = brute_force_program(cfg, mode).quantities
         np.testing.assert_allclose(
             default, solve_dual(cfg, mode).allocation.quantities, atol=1e-6)
+        monkeypatch.setattr(oracle, "_ZOOM_PASSES", 4)
         np.testing.assert_allclose(
-            default, brute_force_program(cfg, mode, zoom_passes=4).quantities,
-            atol=1e-6)
+            default, brute_force_program(cfg, mode).quantities, atol=1e-6)
 
     @pytest.mark.parametrize("beta, warned", [
         (3500.0, []), (np.nextafter(3500.0, np.inf), [SaturationWarning]),
@@ -405,6 +412,23 @@ class TestBruteForce:
             brute_force_program(cfg, MODE_MODIFIED, grid_points).quantities,
             dual.quantities, atol=1e-6)
 
+    def test_capacity_line_stays_feasible(self):
+        # at the default grid, w[i + j] = -(a_i + b_j) lands a few ulps
+        # below -s_max on the capacity anti-diagonal of all three passes
+        # here (4.4e-16 below on the first). Unless it is put on -s_max,
+        # the whole line reads -inf, and the returned q_2 = -s_max + 1.34e-7
+        # is neither at capacity nor stationary: KKT residual 6.1e-4
+        cfg = MarketConfig(3, 3.9728985837275954, 2.788011190411837,
+                           (5.804883282559951, 5.771029754273204,
+                            3.9820494399722937))
+        alloc = brute_force_program(cfg, MODE_MODIFIED)
+        assert alloc.at_capacity.tolist() == [False, False, True]
+        assert alloc.quantities[2] == -cfg.s_max
+        assert np.max(alloc.kkt_residuals) <= 1e-8
+        np.testing.assert_allclose(
+            alloc.quantities,
+            solve_dual(cfg, MODE_MODIFIED).allocation.quantities, atol=1e-6)
+
     @pytest.mark.parametrize("mode", [MODE_TRUE, MODE_MODIFIED])
     def test_seeded_capacity_line_markets(self, mode):
         for cfg in _capacity_line_markets(25, seed=2026):
@@ -415,7 +439,8 @@ class TestBruteForce:
     def test_anti_diagonal_matches_cell_sums(self):
         # w[i + j] is the balancing quantity of cell (i, j): within a few
         # ulps of -(a_i + b_j) on the first pass and on zoom windows, one
-        # shifted against the box's upper end
+        # shifted against the box's upper end. Unbounded, the scan puts no
+        # w on a bound
         class Recorder:
             def __call__(self, i, q):
                 if i == 2:
@@ -429,7 +454,7 @@ class TestBruteForce:
                           ((0.123, 0.777), zoom), ((-s, 2 * s - zoom), zoom)]:
             a, b = (np.linspace(x, x + width, g) for x in lo)
             curves = Recorder()
-            oracle._welfare_blocks(curves, [a, b], -np.inf, np.inf)
+            oracle._welfare_argmax(curves, [a, b], -np.inf, np.inf)
             assert curves.last.size == 2 * g - 1
             err = np.abs(curves.last[i] + np.add.outer(a, b))
             ulp = np.spacing(np.max(np.abs(a)) + np.max(np.abs(b)))
@@ -469,7 +494,7 @@ def _capacity_line_markets(count, seed):
 # Full-array scans, kept as references the blocked scans must match bit for
 # bit.
 
-def _meshgrid_brute_force(config, mode, grid_points, zoom_passes=4,
+def _meshgrid_brute_force(config, mode, grid_points, zoom_passes,
                           row_maxima=None):
     """brute_force_program with every cell of a pass in one meshgrid.
 
@@ -493,6 +518,10 @@ def _meshgrid_brute_force(config, mode, grid_points, zoom_passes=4,
         # the axes share one spacing, so the balancing quantity of a cell
         # is read from the grid of its anti-diagonal
         w = np.linspace(-sum(lo), -sum(hi), (n - 1) * (grid_points - 1) + 1)
+        # within rounding of a bound, the balancing quantity is on it
+        tol = 4 * np.spacing(sum(np.max(np.abs(axis)) for axis in axes))
+        w[np.abs(w - lo_full) <= tol] = lo_full
+        w[np.abs(w - hi_full) <= tol] = hi_full
         q_last = w[sum(np.indices(free[0].shape))]
         vals = f(0, free[0])
         for i, q in enumerate(free[1:], start=1):
@@ -615,15 +644,15 @@ class TestBlockedScans:
         (2, 1000, 4, 4), (2, 1001, 4, 4), (2, 2001, 4, 4), (2, 3162, 4, 4),
         (2, 20001, 4, 4), (3, 1000, 3, 1), (3, 1001, 3, 1), (3, 2001, 1, 4)])
     def test_brute_force_matches_meshgrid_scan(self, n, grid_points, count,
-                                               zoom_passes):
+                                               zoom_passes, monkeypatch):
+        monkeypatch.setattr(oracle, "_ZOOM_PASSES", zoom_passes)
         markets = _random_markets(n, count, seed=grid_points)
         if n == 3:  # r*s_max = 700: the clamp engages at -s_max
             markets.append(MarketConfig(3, 1.0, 1.0, (3500.0,) * 3))
         for config in markets:
             for mode in (MODE_TRUE, MODE_MODIFIED):
                 _assert_same_allocation(
-                    brute_force_program(config, mode, grid_points,
-                                        zoom_passes),
+                    brute_force_program(config, mode, grid_points),
                     _meshgrid_brute_force(config, mode, grid_points,
                                           zoom_passes))
 
@@ -651,6 +680,7 @@ class TestBlockedScans:
                                                           (1001, 3)])
     def test_skipped_rows_lie_below_the_grid_maximum(
             self, grid_points, zoom_passes, monkeypatch):
+        monkeypatch.setattr(oracle, "_ZOOM_PASSES", zoom_passes)
         markets = _random_markets(3, 4, seed=7) + [
             MarketConfig(3, 1.0, 1.0, (3500.0,) * 3),
             _capacity_line_markets(1, seed=2026)[0]]
@@ -658,7 +688,7 @@ class TestBlockedScans:
         for config in markets:
             for mode in (MODE_TRUE, MODE_MODIFIED):
                 passes.clear()
-                brute_force_program(config, mode, grid_points, zoom_passes)
+                brute_force_program(config, mode, grid_points)
                 row_maxima = []
                 _meshgrid_brute_force(config, mode, grid_points, zoom_passes,
                                       row_maxima)

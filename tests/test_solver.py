@@ -32,7 +32,7 @@ from prosumer_market import (
     solve_dual,
     welfare,
 )
-from prosumer_market import experiments, solver
+from prosumer_market import experiments, oracle, solver
 from prosumer_market.market import (MarketStack, _shaded_curvature,
                                     market_stack)
 from prosumer_market.solver import _shaded_root
@@ -381,11 +381,11 @@ class TestSolveDual:
         assert a.price == pytest.approx(b.price, abs=1e-9)
         assert a.welfare_true == pytest.approx(b.welfare_true, abs=1e-9)
 
-    def test_against_brute_force_n2(self):
+    def test_against_brute_force_n2(self, monkeypatch):
         cfg = MarketConfig(2, 4.0, 3.0, (2.0, 3.0))
         dual = solve_dual(cfg, MODE_TRUE)
-        grid = brute_force_program(cfg, MODE_TRUE, grid_points=1_000_001,
-                                   zoom_passes=0)
+        monkeypatch.setattr(oracle, "_ZOOM_PASSES", 0)  # one fine pass
+        grid = brute_force_program(cfg, MODE_TRUE, grid_points=1_000_001)
         np.testing.assert_allclose(
             dual.allocation.quantities, grid.quantities, atol=1e-4)
 
