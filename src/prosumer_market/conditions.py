@@ -31,7 +31,9 @@ markets. Reports carry eq18 and eq36 under their own names, read from the
 eq21 flags.
 
 All checks are pure and evaluated pointwise at the candidate, not over the
-whole strategy space.
+whole strategy space. They take bids and quantities by the type and shape
+rule of market._real_vector, nan and inf included, which they report as
+flags: a solver's own output may overflow, and a check must not raise on it.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import MarketConfig, _per_prosumer
+from .market import MarketConfig, _real_vector
 
 
 @dataclass(frozen=True)
@@ -85,8 +87,7 @@ def check_lemma1(thetas) -> np.ndarray:
     The all-zero profile reports all-false, as does any profile where some
     prosumer faces a nonnegative rival sum.
     """
-    t = np.asarray(thetas, dtype=float)
-    return _rival_sums(t) < 0
+    return _rival_sums(_real_vector("bids", thetas)) < 0
 
 
 def eq15_bounds(thetas,
@@ -96,7 +97,7 @@ def eq15_bounds(thetas,
     Lower bound: payoff concavity in the own bid; upper bound: positive
     clearing price with margin eps_price.
     """
-    rivals = _rival_sums(_per_prosumer(config, thetas, "bids"))
+    rivals = _rival_sums(_real_vector("bids", thetas, config.n_prosumers))
     # S''/S' = -r for the exponential family, so the left end is
     # rivals * (N*d_min/2 * r - 1)
     lower = rivals * (config.n_prosumers * config.d_min / 2.0 * config.rates
@@ -107,7 +108,7 @@ def eq15_bounds(thetas,
 
 def check_eq15(thetas, config: MarketConfig) -> np.ndarray:
     """True for prosumer i iff its bid lies inside the eq15 interval."""
-    t = _per_prosumer(config, thetas, "bids")
+    t = _real_vector("bids", thetas, config.n_prosumers)
     lower, upper = eq15_bounds(t, config)
     return (lower <= t) & (t <= upper)
 
@@ -123,7 +124,7 @@ def _eq21_ok(quantities: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
 
 def check_eq21(quantities, config: MarketConfig) -> np.ndarray:
     """Uniqueness threshold q_i >= 5*d_min/beta_i - d_min*(N-1) at each point."""
-    return _eq21_ok(_per_prosumer(config, quantities, "quantities"),
+    return _eq21_ok(_real_vector("quantities", quantities, config.n_prosumers),
                     config.concavity_thresholds)
 
 

@@ -75,8 +75,9 @@ class SweepSpec:
         if self.steps > MAX_SWEEP_STEPS:
             raise DomainError(
                 f"steps must be at most {MAX_SWEEP_STEPS}, got {self.steps}")
-        _require_positive("start", self.start)
-        _require_positive("stop", self.stop)
+        for name in ("start", "stop"):
+            object.__setattr__(self, name,
+                               _require_positive(name, getattr(self, name)))
         if self.start == self.stop:
             raise DomainError("start and stop must differ")
 
@@ -280,23 +281,6 @@ def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
-def _number(value, key: str) -> float:
-    # bool is an int subclass; JSON true/false are not numbers here
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ConfigError(f"{key} must be finite, got an integer beyond "
-                          "the float range") from None
-
-
-def _integer(value, key: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
 def load_config_file(path) -> tuple[MarketConfig, SweepSpec | None]:
     """Read a market (and optional sweep) from a JSON config file.
 
@@ -305,9 +289,10 @@ def load_config_file(path) -> tuple[MarketConfig, SweepSpec | None]:
              "tolerances": {"eps_price"?, "tol_root"?, "tol_kkt"?},
              "sweep": {"variable": "s_max"|"d_min", "start", "stop",
                        "steps"}}
-    tolerances and sweep are optional; unknown keys are rejected, and so are
-    strings, booleans and non-integral values where a number or an integer
-    belongs.
+    tolerances and sweep are optional and unknown keys are rejected. The
+    values go to MarketConfig and SweepSpec as they are, whose DomainError
+    becomes a ConfigError; a null eps_price is rejected here, because
+    MarketConfig reads eps_price=None as "derive it".
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -328,18 +313,13 @@ def load_config_file(path) -> tuple[MarketConfig, SweepSpec | None]:
     _reject_unknown(tolerances, _TOLERANCE_KEYS, f"{path} tolerances")
     if not isinstance(raw["betas"], list):
         raise ConfigError(f"{path}: betas must be an array")
+    if tolerances.get("eps_price", 0) is None:
+        raise ConfigError(f"{path}: eps_price must be positive and finite, "
+                          "got None")
     try:
-        config = MarketConfig(
-            n_prosumers=_integer(raw["n_prosumers"], "n_prosumers"),
-            d_min=_number(raw["d_min"], "d_min"),
-            s_max=_number(raw["s_max"], "s_max"),
-            betas=tuple(_number(b, "betas") for b in raw["betas"]),
-            eps_price=(_number(tolerances["eps_price"], "eps_price")
-                       if "eps_price" in tolerances else None),
-            tol_root=_number(tolerances.get("tol_root", 1e-9), "tol_root"),
-            tol_kkt=_number(tolerances.get("tol_kkt", 1e-8), "tol_kkt"),
-        )
-    except (ConfigError, DomainError) as exc:
+        config = MarketConfig(raw["n_prosumers"], raw["d_min"], raw["s_max"],
+                              raw["betas"], **tolerances)
+    except DomainError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
     sweep = None
@@ -353,13 +333,8 @@ def load_config_file(path) -> tuple[MarketConfig, SweepSpec | None]:
             raise ConfigError(
                 f"{path}: sweep is missing key(s): {', '.join(missing)}")
         try:
-            sweep = SweepSpec(
-                variable=str(block["variable"]),
-                start=_number(block["start"], "start"),
-                stop=_number(block["stop"], "stop"),
-                steps=_integer(block["steps"], "steps"),
-                base_config=config,
-            )
-        except (ConfigError, DomainError) as exc:
+            sweep = SweepSpec(str(block["variable"]), block["start"],
+                              block["stop"], block["steps"], config)
+        except DomainError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
     return config, sweep

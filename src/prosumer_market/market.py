@@ -59,17 +59,32 @@ def _is_real(value) -> bool:
             and isinstance(value, (int, float, np.integer, np.floating)))
 
 
-def _require_positive(name: str, value) -> None:
-    """DomainError unless value is a positive finite int or float."""
-    if not (_is_real(value) and math.isfinite(value) and value > 0):
+def _require_finite(name: str, value, rule: str = "finite") -> float:
+    """value as a float; DomainError unless it is a finite int or float."""
+    try:
+        x = float(value) if _is_real(value) else math.nan
+    except OverflowError:  # an int beyond the float range
+        raise DomainError(f"{name} must be {rule}, got an integer beyond "
+                          "the float range") from None
+    if not math.isfinite(x):
+        raise DomainError(f"{name} must be {rule}, got {value!r}")
+    return x
+
+
+def _require_positive(name: str, value) -> float:
+    """value as a float; DomainError unless it is a positive finite number."""
+    x = _require_finite(name, value, "positive and finite")
+    if not x > 0:
         raise DomainError(f"{name} must be positive and finite, got {value!r}")
+    return x
 
 
-def _real_vector(name: str, values) -> np.ndarray:
-    """values as a 1-D float array; DomainError unless it holds numbers.
+def _real_vector(name: str, values, n: int | None = None) -> np.ndarray:
+    """values as a non-empty 1-D float array of n entries, if n is given.
 
-    Each entry must pass _is_real: numpy reads a bool among numbers as a
-    number, so a sequence is searched for bools entry by entry.
+    DomainError unless every entry passes _is_real: numpy reads a bool
+    among numbers as a number, so a sequence is searched for bool types.
+    Entries may be nan or inf (_finite_vector rejects them).
     """
     try:
         arr = np.asarray(values)
@@ -77,10 +92,22 @@ def _real_vector(name: str, values) -> np.ndarray:
         arr = np.asarray(None)
     if arr.ndim != 1 or arr.dtype.kind not in "iuf" or (
             not isinstance(values, np.ndarray)
-            and any(isinstance(v, (bool, np.bool_)) for v in values)):
+            and not set(map(type, values)).isdisjoint((bool, np.bool_))):
         raise DomainError(f"{name} must be a 1-D sequence of numbers, "
                           f"got {values!r}")
+    if n is not None and arr.size != n:
+        raise DomainError(f"expected {n} {name}, got shape {arr.shape}")
+    if arr.size == 0:
+        raise DomainError(f"{name} must not be empty")
     return arr.astype(float, copy=False)
+
+
+def _finite_vector(name: str, values, n: int | None = None) -> np.ndarray:
+    """_real_vector(name, values, n); DomainError unless it is all finite."""
+    arr = _real_vector(name, values, n)
+    if not np.isfinite(arr).all():
+        raise DomainError(f"{name} must be finite, got {arr.tolist()}")
+    return arr
 
 
 def _count(name: str, value, least: int) -> int:
@@ -93,15 +120,6 @@ def _count(name: str, value, least: int) -> int:
     if value < least:
         raise DomainError(f"need at least {least} {name}, got {value}")
     return int(value)
-
-
-def _per_prosumer(config: MarketConfig, values, what: str) -> np.ndarray:
-    """values as a float array with one entry per prosumer of config."""
-    arr = np.asarray(values, dtype=float)
-    if arr.shape != (config.n_prosumers,):
-        raise DomainError(
-            f"expected {config.n_prosumers} {what}, got shape {arr.shape}")
-    return arr
 
 
 # The exponential kernel, the only implementation of S and the shaded curve.
@@ -329,10 +347,8 @@ class ExponentialUtility:
     """
 
     def __init__(self, beta: float, d_min: float):
-        _require_positive("beta", beta)
-        _require_positive("d_min", d_min)
-        self.beta = float(beta)
-        self.d_min = float(d_min)
+        self.beta = _require_positive("beta", beta)
+        self.d_min = _require_positive("d_min", d_min)
         # the same roundings as MarketConfig.rates and MarketConfig.offsets
         self._rate = self.beta / (5.0 * self.d_min)
         self._offset = float(np.exp(-self.beta / 5.0))
@@ -372,14 +388,12 @@ class MarketConfig:
     tol_kkt: float = 1e-8
 
     def __post_init__(self):
-        object.__setattr__(self, "n_prosumers",
-                           _count("prosumers", self.n_prosumers, 2))
-        _require_positive("d_min", self.d_min)
-        _require_positive("s_max", self.s_max)
-        betas = _real_vector("betas", self.betas)
-        if betas.shape != (self.n_prosumers,):
-            raise DomainError(
-                f"expected {self.n_prosumers} betas, got shape {betas.shape}")
+        n = _count("n_prosumers", self.n_prosumers, 2)
+        object.__setattr__(self, "n_prosumers", n)
+        for name in ("d_min", "s_max"):
+            object.__setattr__(self, name,
+                               _require_positive(name, getattr(self, name)))
+        betas = _real_vector("betas", self.betas, n)
         bad = ~(np.isfinite(betas) & (betas > 0))
         if bad.any():
             k = int(np.argmax(bad))
@@ -387,10 +401,10 @@ class MarketConfig:
                               f"got {float(betas[k])}")
         object.__setattr__(self, "betas", tuple(betas.tolist()))
         if self.eps_price is None:
-            object.__setattr__(
-                self, "eps_price", 1e-9 * self.n_prosumers * self.d_min)
+            object.__setattr__(self, "eps_price", 1e-9 * n * self.d_min)
         for name in ("eps_price", "tol_root", "tol_kkt"):
-            _require_positive(name, getattr(self, name))
+            object.__setattr__(self, name,
+                               _require_positive(name, getattr(self, name)))
         for name in ("tol_root", "tol_kkt"):
             if getattr(self, name) < sys.float_info.epsilon:
                 raise DomainError(
@@ -440,11 +454,11 @@ def quantity_from_bid(theta: float, price: float, d_min: float) -> float:
     q = d_min + theta/price for price > 0; the zero-price point is defined
     only for theta = 0, where q = d_min by convention.
     """
-    _require_positive("d_min", d_min)
-    if not (_is_real(price) and math.isfinite(price) and price >= 0):
+    d_min = _require_positive("d_min", d_min)
+    theta = _require_finite("the bid", theta)
+    price = _require_finite("price", price, "finite and >= 0")
+    if price < 0:
         raise DomainError(f"price must be finite and >= 0, got {price!r}")
-    if not (_is_real(theta) and math.isfinite(theta)):
-        raise DomainError(f"the bid must be a finite number, got {theta!r}")
     if price == 0:
         if theta != 0:
             raise DomainError(
@@ -460,12 +474,8 @@ def clearing_price(thetas, d_min: float) -> float:
     number and sum thetas <= 0 (the operator rejects bid profiles violating
     it) and returns 0.0 for a zero sum.
     """
-    _require_positive("d_min", d_min)
-    t = _real_vector("bids", thetas)
-    if t.size == 0:
-        raise DomainError("the bid profile is empty")
-    if not np.isfinite(t).all():
-        raise DomainError(f"bids must be finite, got {t.tolist()}")
+    d_min = _require_positive("d_min", d_min)
+    t = _finite_vector("bids", thetas)
     total = float(t.sum())
     if total > 0:
         raise InvalidBids(

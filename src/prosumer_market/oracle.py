@@ -34,7 +34,8 @@ import numpy as np
 
 from .errors import DomainError, TooLarge, UnboundedPayoff
 from .market import (_EXP_CLAMP, Allocation, MarketConfig, _count,
-                     _saturates, _shaded_utility, _utility, _warn_saturated)
+                     _finite_vector, _saturates, _shaded_utility, _utility,
+                     _warn_saturated)
 from .solver import MODE_TRUE, MODES, _allocation, _marginals
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -117,19 +118,13 @@ class _Payoff:
     """
 
     def __init__(self, i: int, thetas, config: MarketConfig):
-        if (isinstance(i, bool) or not isinstance(i, (int, np.integer))
-                or not 0 <= i < config.n_prosumers):
-            raise DomainError("prosumer index must be an integer in "
-                              f"[0, {config.n_prosumers}), got {i!r}")
-        t = np.asarray(thetas, dtype=float)
-        if t.shape != (config.n_prosumers,):
-            raise DomainError(
-                f"expected {config.n_prosumers} bids, got shape {t.shape}")
-        if not np.isfinite(t).all():
-            raise DomainError(f"bids must be finite, got {t}")
+        n = config.n_prosumers
+        if _count("prosumer index", i, 0) >= n:
+            raise DomainError(f"prosumer index must be below {n}, got {i}")
+        t = _finite_vector("bids", thetas, n)
         self.total, self.candidate = float(t.sum()), float(t[i])
         self.rival_sum = rival_sum = self.total - self.candidate
-        n, d, r = config.n_prosumers, config.d_min, float(config.rates[i])
+        d, r = config.d_min, float(config.rates[i])
         self.head = float(config.offsets[i]) + rival_sum / n
         self.slope = (n - 1) / n
         self.x_top, self.x_pole = r * d * (n - 1), r * n * d * rival_sum

@@ -76,8 +76,8 @@ import numpy as np
 
 from .conditions import _eq21_ok
 from .errors import BracketFailure, DomainError
-from .market import (Allocation, MarketConfig, MarketStack, _marginal,
-                     _per_prosumer, _require_positive, _saturates,
+from .market import (Allocation, MarketConfig, MarketStack, _finite_vector,
+                     _marginal, _require_positive, _saturates,
                      _shaded_curvature, _shaded_marginal, _utility,
                      _warn_saturated)
 
@@ -197,8 +197,7 @@ def _inverse_modified(st: MarketStack, x, log_eta) -> np.ndarray:
 
 def marginal_inverse_true(config: MarketConfig, eta: float) -> np.ndarray:
     """Per-prosumer q solving S'(q) = eta, clipped to [-s_max, q_upper]."""
-    _require_positive("eta", eta)
-    return _inverse_true(config.stack, eta)[0]
+    return _inverse_true(config.stack, _require_positive("eta", eta))[0]
 
 
 def marginal_inverse_modified(config: MarketConfig,
@@ -218,8 +217,7 @@ def marginal_inverse_modified(config: MarketConfig,
     that touches the falling branch, capped at the marginal's peak. At the
     switch price itself the root is kept.
     """
-    _require_positive("eta", eta)
-    x = math.log(eta)
+    x = math.log(_require_positive("eta", eta))
     q = _inverse_modified(config.stack, x, x)[0]
     return q, ~_eq21_ok(q, config.concavity_thresholds)
 
@@ -384,8 +382,7 @@ def _solve_stack(st: MarketStack, mode: str) -> _Batch:
             q = _inverse_true(st, np.array(etas)[:, None])
         sums = q.sum(axis=1).tolist()
         scales = np.abs(q).sum(axis=1).tolist()
-        slopes = _slopes(st, q, (q > st.q_lower) & (q < st.q_upper), shaded)
-        going = []
+        slopes, going = None, []
         for k in active:
             e = sums[k]
             iterations[k] += 1
@@ -397,6 +394,9 @@ def _solve_stack(st: MarketStack, mode: str) -> _Batch:
                 a[k] = x[k]
             else:
                 b[k] = x[k]
+            if slopes is None:  # the first market of the pass that steps
+                slopes = _slopes(st, q, (q > st.q_lower) & (q < st.q_upper),
+                                 shaded)
             d = slopes[k] * etas[k] if shaded else slopes[k]
             step = -e / d if d < 0 and math.isfinite(d) else math.nan
             mid = 0.5 * (a[k] + b[k])
@@ -499,9 +499,8 @@ def recover_bids(allocation: Allocation, d_min: float) -> np.ndarray:
     theta_i = dual_price * (q_i - d_min); the clearing price of the
     recovered profile equals the dual price again.
     """
-    _require_positive("dual price", allocation.dual_price)
-    _require_positive("d_min", d_min)
-    return allocation.dual_price * (allocation.quantities - d_min)
+    price = _require_positive("dual price", allocation.dual_price)
+    return price * (allocation.quantities - _require_positive("d_min", d_min))
 
 
 def _welfares(st: MarketStack, q: np.ndarray, warn: bool = False):
@@ -511,7 +510,5 @@ def _welfares(st: MarketStack, q: np.ndarray, warn: bool = False):
 
 def welfare(config: MarketConfig, quantities) -> float:
     """True aggregate welfare sum_i S_i(q_i); may legitimately be negative."""
-    q = _per_prosumer(config, quantities, "quantities")
-    if not np.isfinite(q).all():
-        raise DomainError(f"quantities must be finite, got {q.tolist()}")
+    q = _finite_vector("quantities", quantities, config.n_prosumers)
     return float(_welfares(config.stack, q[None], warn=True)[0])

@@ -463,6 +463,19 @@ class TestLoadConfigFile:
         with pytest.raises(ConfigError, match="tol_root"):
             load_config_file(self.write(tmp_path, payload))
 
+    @pytest.mark.parametrize("block, key", [
+        ("tolerances", "eps_price"), ("tolerances", "tol_root"),
+        ("sweep", "stop")])
+    def test_null_values_rejected(self, tmp_path, block, key):
+        # MarketConfig reads eps_price=None as "derive it"; a file's null
+        # is not a number and must not select that default
+        payload = self.base_payload()
+        payload["sweep"] = {"variable": "s_max", "start": 0.1, "stop": 0.6,
+                            "steps": 4}
+        payload.setdefault(block, {})[key] = None
+        with pytest.raises(ConfigError, match=key):
+            load_config_file(self.write(tmp_path, payload))
+
     def test_domain_violations_become_config_errors(self, tmp_path):
         payload = self.base_payload()
         payload["d_min"] = -2.0

@@ -338,8 +338,7 @@ class TestMarketConfig:
         kwargs = dict(n_prosumers=3, d_min=1.0, s_max=1.0,
                       betas=(2.0, 2.5, 3.0))
         kwargs[field] = value
-        name = "prosumers" if field == "n_prosumers" else field
-        with pytest.raises(DomainError, match=f"^{name} must be"):
+        with pytest.raises(DomainError, match=f"^{field} must be"):
             MarketConfig(**kwargs)
 
     @pytest.mark.parametrize("betas", [
