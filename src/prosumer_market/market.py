@@ -84,17 +84,27 @@ def _real_vector(name: str, values, n: int | None = None) -> np.ndarray:
 
     DomainError unless every entry passes _is_real: numpy reads a bool
     among numbers as a number, so a sequence is searched for bool types.
-    Entries may be nan or inf (_finite_vector rejects them).
+    Entries may be nan or inf (_finite_vector rejects them). A message names
+    the first bad entry by its index, never the input itself.
     """
+    rule = f"{name} must be a 1-D sequence of numbers"
     try:
         arr = np.asarray(values)
     except ValueError:  # ragged nesting
-        arr = np.asarray(None)
-    if arr.ndim != 1 or arr.dtype.kind not in "iuf" or (
+        raise DomainError(f"{rule}, got a ragged sequence") from None
+    if arr.ndim != 1:
+        raise DomainError(f"{rule}, got shape {arr.shape}")
+    if arr.dtype.kind not in "iuf" or (
             not isinstance(values, np.ndarray)
             and not set(map(type, values)).isdisjoint((bool, np.bool_))):
-        raise DomainError(f"{name} must be a 1-D sequence of numbers, "
-                          f"got {values!r}")
+        for k, v in enumerate(values):
+            # numpy stores an int beyond 64 bits as an object
+            if not _is_real(v) or np.asarray(v).dtype.kind not in "iuf":
+                what = ("an integer beyond 64 bits" if _is_real(v)
+                        else f"a {type(v).__name__}")
+                raise DomainError(f"{rule}, got {what} at index {k} of "
+                                  f"{arr.size}")
+        raise DomainError(f"{rule}, got dtype {arr.dtype}")
     if n is not None and arr.size != n:
         raise DomainError(f"expected {n} {name}, got shape {arr.shape}")
     if arr.size == 0:
@@ -106,7 +116,9 @@ def _finite_vector(name: str, values, n: int | None = None) -> np.ndarray:
     """_real_vector(name, values, n); DomainError unless it is all finite."""
     arr = _real_vector(name, values, n)
     if not np.isfinite(arr).all():
-        raise DomainError(f"{name} must be finite, got {arr.tolist()}")
+        k = int(np.argmin(np.isfinite(arr)))
+        raise DomainError(f"{name} must be finite, got {arr[k]} at index {k} "
+                          f"of {arr.size}")
     return arr
 
 
@@ -115,10 +127,10 @@ def _count(name: str, value, least: int) -> int:
 
     numpy integers count, bools do not, as for the prosumer index.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise DomainError(f"need at least {least} {name}, got {value}")
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < least):
+        raise DomainError(f"{name} must be an integer of at least {least}, "
+                          f"got {value!r}")
     return int(value)
 
 

@@ -217,7 +217,8 @@ class TestExitCodes:
         code = cli_main(["verify", "--config", str(symmetric_config_path),
                          "--grid", grid])
         assert code == 1
-        assert "at least 3 grid points" in capsys.readouterr().err
+        assert ("grid points must be an integer of at least 3, got"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("key, literal", [
         ("betas", "Infinity"), ("betas", "NaN"), ("d_min", "NaN"),

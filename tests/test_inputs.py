@@ -4,7 +4,8 @@ Each entry point that takes a per-prosumer vector or a scalar checks it with
 the same helpers of the market module: a vector is a non-empty 1-D sequence
 of ints and floats (bools excluded) of one entry per prosumer, and a scalar
 is an int or float within the float range. Every pairing of an entry point
-with a bad input below raises DomainError.
+with a bad input below raises DomainError, whose message names the first bad
+entry by its index, or the input's shape, and never quotes the input.
 """
 
 import numpy as np
@@ -51,13 +52,17 @@ VECTOR_ENTRY_POINTS = {
     "clearing_price": (lambda v: clearing_price(v, 1.0), False),
 }
 
+# bad vector -> (vector, the end of its message, or a tuple of alternatives)
 BAD_VECTORS = {
-    "numeric-strings": ["-1", "-0.9", "-0.5"],
-    "bool": [True, -0.9, -0.5],
-    "numpy-bool": [-1.0, -0.9, np.True_],
-    "2d": [BIDS],
-    "ragged": [[-1.0], [-0.9, -0.5]],
-    "empty": [],
+    "numeric-strings": (["-1", "-0.9", "-0.5"], "a str at index 0 of 3"),
+    "bool": ([True, -0.9, -0.5], "a bool at index 0 of 3"),
+    "numpy-bool": ([-1.0, -0.9, np.True_], "a bool at index 2 of 3"),
+    "int-beyond-64-bits":
+        ([-1.0, HUGE, -0.5], "an integer beyond 64 bits at index 1 of 3"),
+    "2d": ([BIDS], "shape (1, 3)"),
+    "ragged": ([[-1.0], [-0.9, -0.5]], "a ragged sequence"),
+    # a size check, where the entry point knows one, comes first
+    "empty": ([], ("must not be empty", "got shape (0,)")),
 }
 
 
@@ -67,11 +72,13 @@ def test_vector_entry_points_reject_bad_vectors(entry, bad):
     call, sized = VECTOR_ENTRY_POINTS[entry]
     if bad == "wrong-length":
         # without a market only the empty profile has a wrong length
-        vector = BIDS + [-1.0] if sized else []
+        vector, what = ((BIDS + [-1.0], "got shape (4,)") if sized
+                        else BAD_VECTORS["empty"])
     else:
-        vector = BAD_VECTORS[bad]
-    with pytest.raises(DomainError):
+        vector, what = BAD_VECTORS[bad]
+    with pytest.raises(DomainError) as exc:
         call(vector)
+    assert str(exc.value).endswith(what)
 
 
 def _config(**kwargs):
@@ -110,8 +117,20 @@ def test_scalar_entry_points_reject_ints_beyond_float_range(entry):
 def test_numpy_bool_deep_in_many_betas():
     betas = [2.0] * 100_000
     betas[50_000] = np.True_
-    with pytest.raises(DomainError, match="^betas must be"):
+    with pytest.raises(DomainError) as exc:
         MarketConfig(100_000, 4.0, 1.6, betas)
+    assert str(exc.value) == ("betas must be a 1-D sequence of numbers, got "
+                              "a bool at index 50000 of 100000")
+
+
+def test_non_finite_entry_named_by_index():
+    config = MarketConfig(1000, 4.0, 1.6, [2.0] * 1000)
+    quantities = [0.0] * 1000
+    quantities[3] = np.nan
+    with pytest.raises(DomainError) as exc:
+        welfare(config, quantities)
+    assert str(exc.value) == ("quantities must be finite, got nan at index 3 "
+                              "of 1000")
 
 
 @pytest.mark.parametrize("entry", ["check_lemma1", "check_eq15", "check_eq21"])

@@ -215,7 +215,8 @@ class TestBestResponse:
     @pytest.mark.parametrize("grid_points", [2, 1, 0, -5])
     def test_best_response_grid_floor(self, grid_points):
         cfg = MarketConfig(2, 1.0, 0.3, (12.0, 12.0))
-        with pytest.raises(DomainError, match="at least 3 grid points"):
+        with pytest.raises(DomainError, match="grid points must be an integer "
+                                              "of at least 3, got"):
             best_response(0, np.full(2, -1.0), cfg, grid_points=grid_points)
 
     @pytest.mark.parametrize("i", [-1, -3, 3, 7, 1.0, True, "0", None])
